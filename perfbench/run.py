@@ -9,14 +9,14 @@ Each workload runs in fresh interpreters, so caches, heap growth and
 peak RSS cannot leak between workloads.  Set-up is timed separately:
 the workload's interpreter is started ``SETUP_REPEATS`` times and
 ``setup_s`` is the median time from spawn until the inputs are ready
-(imports and input generation, or daemon start plus pre-warm); only the
-last interpreter goes on to measure.
+(imports and input generation, or the pre-warmed store), at the
+reference host speed (see ``measure.host_probe``); only the last
+interpreter goes on to measure.
 
 ``--trace 0`` prints every end-to-end metric; ``--trace 1`` alternates
 untraced and traced passes (spans from ``tracer.py`` around each
-layer's public entry points; ``serve-mixed`` replays its reference rate
-in-process instead) and prints the per-layer metrics, writing the spans
-to ``.perfbench-out/trace-<workload>.json``.  The
+layer's public entry points) and prints the per-layer metrics, writing
+the spans to ``.perfbench-out/trace-<workload>.json``.  The
 last stdout line is one JSON object with ``correct``, ``attempted``,
 ``failed`` and ``metrics``; the exit status is non-zero when any output
 check fails.
@@ -36,23 +36,15 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
-from measure import DEFAULT_SEED, ROOT, SRC, child_env, declared_metrics, median  # noqa: E402
+from measure import (DEFAULT_SEED, ROOT, SRC, at_reference, child_env,  # noqa: E402
+                     declared_metrics, host_probe, median)
 
-WORKLOADS = ("design-sweep", "bulk-scale", "serve-mixed")
+WORKLOADS = ("design-sweep", "bulk-scale", "serve-dispatch")
 SETUP_REPEATS = 5
+#: Set-up is imports and input generation: interpreter and JSON-like work.
+SETUP_PROBE_PARTS = ("interp", "json", "numpy")
 #: A child that has not finished by then is killed (the contract allows 180 s).
 CHILD_TIMEOUT_S = 170.0
-
-#: Workload-specific names of the end-to-end metrics, for the readout.
-NAMED = {
-    "design-sweep": {"rate_per_s": ("sweep_pts_per_s", "1/s"),
-                     "p50_ms": ("sweep_pass_p50_ms", "ms")},
-    "bulk-scale": {"rate_per_s": ("bulk_tuples_per_s", "1/s"),
-                   "p50_ms": ("bulk_point_p50_ms", "ms")},
-    "serve-mixed": {"rate_per_s": ("serve_capacity_rps", "1/s"),
-                    "p50_ms": ("serve_p50_ms", "ms")},
-}
-
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -71,8 +63,8 @@ def spawn_child(args, workload: str, mode: str) -> subprocess.Popen:
     cmd = [sys.executable, str(HERE / "run.py"), "--child", mode,
            "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    # A session of its own, so the child and the daemon it may start can
-    # be stopped together.
+    # A session of its own, so the child and anything it may start can be
+    # stopped together.
     return subprocess.Popen(cmd, stdout=subprocess.PIPE, env=child_env(),
                             cwd=str(ROOT), text=True, start_new_session=True)
 
@@ -88,18 +80,25 @@ def stop_session(proc: subprocess.Popen) -> None:
 
 
 def run_workload(args, workload: str) -> dict:
-    """Time ``SETUP_REPEATS`` set-ups; the last child also measures."""
-    setups = []
+    """Time ``SETUP_REPEATS`` set-ups; the last child also measures.
+
+    Each set-up is put at the reference host speed by a probe reading
+    taken just before its spawn, while no child runs.
+    """
+    setups, raw = [], []
     result = None
     deadline = time.monotonic() + CHILD_TIMEOUT_S
+    host_probe()  # allocates the probe's inputs
     for i in range(SETUP_REPEATS):
         mode = "run" if i == SETUP_REPEATS - 1 else "setup"
+        probe = host_probe()
         t0 = time.perf_counter()
         proc = spawn_child(args, workload, mode)
         try:
             for line in proc.stdout:
                 if line.startswith("READY"):
-                    setups.append(time.perf_counter() - t0)
+                    raw.append(time.perf_counter() - t0)
+                    setups.append(at_reference(raw[-1], probe, SETUP_PROBE_PARTS))
                 elif line.startswith("RESULT "):
                     result = json.loads(line[len("RESULT "):])
                 if time.monotonic() > deadline:
@@ -114,7 +113,7 @@ def run_workload(args, workload: str) -> dict:
         raise RuntimeError(f"{workload} child printed no result")
     if not args.trace:
         result["metrics"]["setup_s"] = median(setups)
-    result["setup_runs_s"] = setups
+    result["info"]["setup_raw_s"] = (median(raw), "s")
     return result
 
 
@@ -130,8 +129,7 @@ def readout(workload: str, result: dict, trace: int) -> None:
     else:
         units = declared_metrics("end_to_end")
         for name, value in result["metrics"].items():
-            label, unit = NAMED[workload].get(name, (name, units[name]))
-            print(f"   {label:32s} {value:14.6g} {unit}")
+            print(f"   {name:32s} {value:14.6g} {units[name]}")
     for name, (value, unit) in sorted(result["info"].items()):
         shown = f"{value:14.6g}" if isinstance(value, (int, float)) else value
         print(f"   {name:32s} {shown} {unit}")

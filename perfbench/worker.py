@@ -11,18 +11,24 @@ import json
 import sys
 from typing import Any, Dict
 
-from measure import OUT, declared_metrics, median, self_peak_rss_mb
+from measure import OUT, declared_metrics, self_peak_rss_mb
 from tracer import Tracer, instrument
+
+#: Raw figures printed under the workload's own names (the gated rate
+#: and median are at the reference host speed).
+RAW_NAMES = {
+    "design-sweep": ("sweep_pts_per_s", "sweep_pass_p50_ms"),
+    "bulk-scale": ("bulk_tuples_per_s", "bulk_point_p50_ms"),
+    "serve-dispatch": ("serve_requests_per_s", "serve_p50_ms"),
+}
 
 
 def build(name: str, seed: int):
-    if name == "serve-mixed":
-        from loadgen import ServeMixed
-
-        return ServeMixed(seed)
+    from serve import ServeDispatch
     from workloads import BulkScale, DesignSweep
 
-    return {"design-sweep": DesignSweep, "bulk-scale": BulkScale}[name](seed)
+    return {"design-sweep": DesignSweep, "bulk-scale": BulkScale,
+            "serve-dispatch": ServeDispatch}[name](seed)
 
 
 def layer_values(tracer: Tracer, wall_s: float) -> Dict[str, float]:
@@ -58,8 +64,8 @@ def layer_values(tracer: Tracer, wall_s: float) -> Dict[str, float]:
     }
 
 
-def in_process(args, workload) -> Dict[str, Any]:
-    """design-sweep / bulk-scale: measure (and trace), then check."""
+def measure_and_check(args, workload) -> Dict[str, Any]:
+    """Measure (and trace), then check every output."""
     from workloads import digest_check
 
     tracer = Tracer()
@@ -67,112 +73,30 @@ def in_process(args, workload) -> Dict[str, Any]:
                            (lambda: instrument(tracer)) if args.trace else None)
     metrics = workload.metrics(run["untraced"])
     metrics["peak_rss_mb"] = self_peak_rss_mb()
-    slowest_ms = metrics["slowest_ms"]
+    rate_name, p50_name = RAW_NAMES[workload.name]
+    info = {rate_name: (metrics["raw_rate_per_s"], "1/s"),
+            p50_name: (metrics["raw_p50_ms"], "ms")}
+    if workload.name == "bulk-scale":
+        info["bulk_slowest_point_ms"] = (metrics["slowest_ms"], "ms")
     if args.trace:
         traced = run["traced"]
         layers = layer_values(tracer, traced["wall_s"])
+        layers.update(workload.layers(tracer))
         layers["trace.overhead_pct"] = 100.0 * (
             metrics["rate_per_s"] / workload.metrics(traced)["rate_per_s"] - 1.0)
-        if workload.name == "design-sweep":
-            hits = workload.cache
-            layers["experiments.workload_hit_ratio"] = hits["workload"][0] / hits["workload"][1]
-            layers["experiments.result_hit_ratio"] = hits["result"][0] / hits["result"][1]
         tracer.export_chrome(str(OUT / f"trace-{workload.name}.json"))
         metrics = layers
     problems = workload.verify()
     digest, pin_problems = digest_check(workload.name, args.seed, workload.export)
     problems += pin_problems
-    info = {"export_sha256": (digest, ""), "passes": (run["passes"], "count")}
+    info.update({"export_sha256": (digest, ""), "passes": (run["passes"], "count")})
     if workload.name == "design-sweep":
         info["paper_err_pct"] = (workload.paper_err_pct, "%")
         info["grid_points_per_pass"] = (workload.units_per_pass, "count")
-    else:
-        info["bulk_slowest_point_ms"] = (slowest_ms, "ms")
     runs = run["passes"] * workload.runs_per_pass
     return {"metrics": metrics, "attempted": runs + workload.checks,
             "failed": run["unstable_passes"] * workload.runs_per_pass + len(problems),
             "problems": problems, "info": info}
-
-
-def serve(args, workload) -> Dict[str, Any]:
-    """serve-mixed: the ladder, then (traced) the in-process replays, checks."""
-    from workloads import digest_check
-
-    if args.trace:
-        workload.snapshot_store()
-    # The traced run spends half its budget on the ladder, the rest on
-    # replays; the ladder's figures are only reported untraced.
-    run = workload.measure(args.seconds / 2 if args.trace else args.seconds)
-    metrics = workload.metrics(run)
-    metrics["peak_rss_mb"] = workload.rss_mb
-    info = {"serve_max_rps": (run["max_rps"], "1/s"),
-            "serve_p95_ms": (run["p95_ms"], "ms"),
-            "serve_p99_ms": (run["p99_ms"], "ms"),
-            "serve_new_p50_ms": (run["new_p50_ms"], "ms"),
-            "serve_ref_samples": (run["ref_n"], "count"),
-            "serve_gen_late_p99_ms": (run["gen_late_p99_ms"], "ms")}
-    for rung in run["ladder"]:
-        info[f"ladder_{rung['rate']}rps_p99_ms"] = (rung["p99_ms"], "ms")
-    if args.trace:
-        metrics = serve_layers(workload, run)
-    workload.close()
-    wrong, export = workload.verify()
-    digest, pin_problems = digest_check(workload.name, args.seed, export)
-    info["export_sha256"] = (digest, "")
-    unanswered = run["sent"] - run["answered"]
-    problems = wrong[:20] + pin_problems
-    if unanswered:
-        problems.append(f"{unanswered} requests unanswered")
-    # Attempts: every request sent, plus the pinned-digest check.
-    return {"metrics": metrics, "attempted": run["sent"] + 1,
-            "failed": len(wrong) + unanswered + len(pin_problems),
-            "problems": problems, "info": info}
-
-
-def serve_layers(workload, run: Dict[str, Any]) -> Dict[str, float]:
-    """Per-layer service numbers: daemon counters, unloaded round trips,
-    and the reference rung replayed in-process, untraced and traced."""
-    rtt = workload.unloaded_rtt_ms()
-    stats = workload.daemon_stats()
-    tracer = Tracer()
-    untraced_s, traced_s = [], []
-    for traced in (False, True, True, False):  # ABBA, as for passes
-        if traced:
-            traced_s.append(workload.replay(lambda: instrument(tracer)))
-        else:
-            untraced_s.append(workload.replay())
-    layers = layer_values(tracer, sum(traced_s))
-    totals = tracer.layer_totals()
-    dispatches = [s["end"] - s["start"] for s in tracer.spans
-                  if s["name"] == "EvaluationDaemon.dispatch"]
-
-    def mean_ms(layer: str, per: float) -> float:
-        entry = totals.get(layer)
-        return 1e3 * entry["span_s"] / per if entry and per else 0.0
-
-    looked_up = stats["store_hits"] + stats["executed"]
-    layers.update({
-        "service.rtt_unloaded_ms": median(rtt),
-        "service.dispatch_ms": 1e3 * median(dispatches),
-        "service.codec_ms": mean_ms("service.codec", len(dispatches)),
-        "service.store_get_ms": mean_ms(
-            "service.store_get", totals.get("service.store_get", {}).get("calls", 0)),
-        "service.store_put_ms": mean_ms(
-            "service.store_put", totals.get("service.store_put", {}).get("calls", 0)),
-        "service.queue_wait_ms": run["hot_p50_ms"] - median(rtt),
-        "service.store_hit_ratio": stats["store_hits"] / looked_up if looked_up else 0.0,
-        "service.executed": stats["executed"],
-        "service.gen_late_p99_ms": run["gen_late_p99_ms"],
-        "trace.overhead_pct": 100.0 * (median(traced_s) / median(untraced_s) - 1.0),
-    })
-    from repro.experiments import common
-
-    tiers = common.cache_stats()["tiers"]
-    for tier in ("workload", "result"):
-        looked = tiers[tier]["hits"] + tiers[tier]["misses"]
-        layers[f"experiments.{tier}_hit_ratio"] = tiers[tier]["hits"] / looked if looked else 0.0
-    tracer.export_chrome(str(OUT / f"trace-{workload.name}.json"))
-    return layers
 
 
 def main(args) -> int:
@@ -189,13 +113,9 @@ def main(args) -> int:
     try:
         if args.child == "setup":
             return 0
-        if args.workload == "serve-mixed":
-            result = serve(args, workload)
-        else:
-            result = in_process(args, workload)
+        result = measure_and_check(args, workload)
     finally:
-        if args.workload == "serve-mixed":
-            workload.close()
+        workload.close()
     if args.trace:
         setup = setup_tracer.layer_totals()
         layers = result["metrics"]

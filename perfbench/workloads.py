@@ -11,17 +11,25 @@ spent, and checked afterwards:
   statistic identical;
 - sampled operator points must match the ``segmented=False`` reference
   path byte for byte (simulated statistics and functional output).
+
+Every timed sample is followed by a reading of the host-speed probe
+(:func:`measure.host_probe`); the gated rate and median use the
+samples at the reference speed, so a shared host that runs slower for a
+while moves them far less than the raw times, which are printed too.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
+import operator as op
 import random
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from measure import DEFAULT_SEED, ROOT, median
+from measure import DEFAULT_SEED, ROOT, at_reference, host_probe, median
 
 OPERATORS = ("scan", "sort", "groupby", "join")
 QUERIES = ("fk-join-aggregate", "sort-then-scan", "skewed-partition-join")
@@ -91,11 +99,23 @@ def check_reference(machine, operator: str, workload, scale: float,
     return None
 
 
+@contextlib.contextmanager
+def traced(instrument=None):
+    """Apply ``instrument`` (when given) for the duration of the block."""
+    handle = instrument() if instrument is not None else None
+    try:
+        yield
+    finally:
+        if handle is not None:
+            handle.remove()
+
+
 class Workload:
     """Shared pass loop and metrics.
 
     A pass returns its export and timed samples keyed by what was run
-    (the whole pass on design-sweep, each point on bulk-scale).
+    (each part of the grid on design-sweep, each point on bulk-scale),
+    each with the probe reading taken right after it.
     """
 
     name = ""
@@ -103,10 +123,23 @@ class Workload:
     units_per_pass = 0
     #: Evaluations one pass attempts (grid points, or point runs).
     runs_per_pass = 0
+    #: What ``p50_ms`` is the median of: whole passes (the sum of their
+    #: parts) or single points.
+    latency_of = "point"
+    #: The host-probe parts that match the work a sample times.
+    probe_parts: Tuple[str, ...] = ("interp", "json", "numpy")
 
-    def run_pass(self) -> Tuple[str, List[Tuple[Any, float]]]:
-        """One pass: (exported statistics, [(sample key, seconds)])."""
+    def run_pass(self, instrument=None) -> Tuple[str, List[Tuple[Any, float, float]]]:
+        """One pass, traced by ``instrument`` when given:
+        (exported statistics, [(key, seconds, probe seconds)])."""
         raise NotImplementedError
+
+    def layers(self, tracer) -> Dict[str, float]:
+        """Per-layer numbers only this workload has (traced run)."""
+        return {}
+
+    def close(self) -> None:
+        """Remove what set-up left on disk."""
 
     def measure(self, seconds: float, instrument=None) -> Dict[str, Any]:
         """Run passes for ``seconds``; with ``instrument`` passes are
@@ -114,23 +147,24 @@ class Workload:
         least one of each), so both kinds see the same host conditions."""
         phases = {flag: {"times": {}, "wall_s": 0.0} for flag in (False, True)}
         exports: List[str] = []
+        host_probe()  # allocates the probe's inputs
+        before = host_probe()
         start = time.perf_counter()
         last = 0.0
         # Start another pass while at least half of it fits the budget.
         while (len(exports) < (2 if instrument else 1)
                or time.perf_counter() - start + last / 2 < seconds):
             traced = instrument is not None and len(exports) % 4 in (1, 2)
-            handle = instrument() if traced else None
             t0 = time.perf_counter()
-            try:
-                export, samples = self.run_pass()
-            finally:
-                if handle is not None:
-                    handle.remove()
+            export, samples = self.run_pass(instrument if traced else None)
             last = time.perf_counter() - t0
-            phases[traced]["wall_s"] += last
-            for key, elapsed in samples:
-                phases[traced]["times"].setdefault(key, []).append(elapsed)
+            # A sample's host speed: the mean of the probe readings
+            # before and after it (a single reading is noisy).
+            for key, elapsed, after in samples:
+                probe = {part: (before[part] + after[part]) / 2 for part in after}
+                phases[traced]["times"].setdefault(key, []).append((elapsed, probe))
+                phases[traced]["wall_s"] += elapsed
+                before = after
             exports.append(export)
         self.export = exports[0]
         return {
@@ -141,16 +175,26 @@ class Workload:
         }
 
     def metrics(self, phase: Dict[str, Any]) -> Dict[str, float]:
-        """Rate, median and slowest time from each key's median time.
+        """Rate, median and slowest time from each key's median time, at
+        the reference host speed (the raw figures under ``raw_*``).
 
         Per-key medians first: a pass's keys differ in cost by 10x, and
         one slow sample of the host should not move the run's figure.
         """
-        per_key = [median(ts) for ts in phase["times"].values()]
+        samples = phase["times"].values()
+        raw = [median([e for e, _ in ts]) for ts in samples]
+        norm = [median([at_reference(e, p, self.probe_parts) for e, p in ts])
+                for ts in samples]
+
+        def p50(per_key: List[float]) -> float:
+            return (sum(per_key) if self.latency_of == "pass" else median(per_key)) * 1e3
+
         return {
-            "rate_per_s": self.units_per_pass / sum(per_key),
-            "p50_ms": median(per_key) * 1e3,
-            "slowest_ms": max(per_key) * 1e3,
+            "rate_per_s": self.units_per_pass / sum(norm),
+            "p50_ms": p50(norm),
+            "raw_rate_per_s": self.units_per_pass / sum(raw),
+            "raw_p50_ms": p50(raw),
+            "slowest_ms": max(raw) * 1e3,
         }
 
 
@@ -159,11 +203,16 @@ class DesignSweep(Workload):
 
     Caches are emptied before every pass and no store is configured, so
     each pass pays workload generation and simulation for every point,
-    as a fresh ``Sweep`` does.  Latency samples are whole passes: a
-    sweep returns its records only when the grid is done.
+    as a fresh ``Sweep`` does.  A pass runs the grid in parts (one
+    ``Sweep`` per system, the paper points, one ``SuiteRun`` per suite,
+    then the export) in the order of the whole grid, so its records and
+    cache traffic equal one big sweep's; each part is a timed sample.
+    The latency is the whole pass: a sweep returns its records only when
+    the grid is done.
     """
 
     name = "design-sweep"
+    latency_of = "pass"
     #: 4 reference points, 5 cross-preset suite answers, the suite golden
     #: file and the pinned export digest.
     checks = 11
@@ -190,23 +239,40 @@ class DesignSweep(Workload):
         self.paper = Sweep(systems=EVALUATED_PRESETS, workloads=OPERATORS,
                            seeds=(17,), scales=(2000.0,))
         self.suites = SuiteRun(seed=rng.randrange(1, 1 << 30))
+        self.parts = (
+            [(f"sweep:{i}", Sweep(systems=(system,), workloads=self.sweep.workloads,
+                                  seeds=self.seeds))
+             for i, system in enumerate(self.sweep.systems)]
+            + [("paper", self.paper)]
+            + [(f"suite:{suite}", SuiteRun(suites=(suite,), seed=self.suites.seed))
+               for suite in self.suites.suites])
         self.units_per_pass = self.sweep.size + self.paper.size + self.suites.size
         self.runs_per_pass = self.units_per_pass
         self.cache = {"workload": [0, 0], "result": [0, 0]}
 
-    def run_pass(self) -> Tuple[str, List[Tuple[Any, float]]]:
+    def run_pass(self, instrument=None) -> Tuple[str, List[Tuple[Any, float, float]]]:
         from repro.experiments import common
 
-        t0 = time.perf_counter()
         common.clear_caches()
-        records = self.sweep.run() + self.paper.run() + self.suites.run()
-        export = records.to_json()
-        elapsed = time.perf_counter() - t0
-        tiers = common.cache_stats()["tiers"]
-        for tier, counts in self.cache.items():
-            counts[0] += tiers[tier]["hits"]
-            counts[1] += tiers[tier]["hits"] + tiers[tier]["misses"]
-        return export, [("pass", elapsed)]
+        results, samples = [], []
+        with traced(instrument):
+            for key, part in self.parts:
+                t0 = time.perf_counter()
+                results.append(part.run())
+                samples.append((key, time.perf_counter() - t0, host_probe()))
+            t0 = time.perf_counter()
+            export = functools.reduce(op.add, results).to_json()
+            samples.append(("export", time.perf_counter() - t0, host_probe()))
+        if instrument is not None:
+            tiers = common.cache_stats()["tiers"]
+            for tier, counts in self.cache.items():
+                counts[0] += tiers[tier]["hits"]
+                counts[1] += tiers[tier]["hits"] + tiers[tier]["misses"]
+        return export, samples
+
+    def layers(self, tracer) -> Dict[str, float]:
+        return {f"experiments.{tier}_hit_ratio": hits / looked
+                for tier, (hits, looked) in self.cache.items()}
 
     def verify(self) -> List[str]:
         from repro.api import Scenario
@@ -270,6 +336,8 @@ class BulkScale(Workload):
     """
 
     name = "bulk-scale"
+    #: Columnar kernels over 8 MB relations, driven from Python.
+    probe_parts = ("interp", "numpy")
     #: 6 cross-system answers, 2 reference points, the pinned digest.
     checks = 9
     N = 500_000
@@ -305,18 +373,20 @@ class BulkScale(Workload):
         self.answers: Dict[str, set] = {}
         self.seed = seed
 
-    def run_pass(self) -> Tuple[str, List[Tuple[Any, float]]]:
+    def run_pass(self, instrument=None) -> Tuple[str, List[Tuple[Any, float, float]]]:
         from repro.api import ResultSet, records_from_result
 
         records: List[Dict[str, Any]] = []
         samples = []
         for machine, (name, operator, data) in self.points:
-            t0 = time.perf_counter()
-            if operator:
-                outcome = machine.run_operator(operator, data, self.SCALE)
-            else:
-                outcome = machine.run_pipeline(data, self.SCALE)
-            samples.append(((machine.name, name), time.perf_counter() - t0))
+            with traced(instrument):
+                t0 = time.perf_counter()
+                if operator:
+                    outcome = machine.run_operator(operator, data, self.SCALE)
+                else:
+                    outcome = machine.run_pipeline(data, self.SCALE)
+                elapsed = time.perf_counter() - t0
+            samples.append(((machine.name, name), elapsed, host_probe()))
             base = {"system": machine.name, "workload": name, "scale": self.SCALE}
             if operator:
                 records.extend(records_from_result(machine, outcome, base))
