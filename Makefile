@@ -4,7 +4,10 @@
 PY ?= python
 export PYTHONPATH := src
 
-#: Current perf-trajectory point; bump per perf PR (BENCH_PR11.json, ...).
+#: Latest point of the per-file micro-timing trajectory written by
+#: `make bench`.  Merges are gated by the end-to-end benchmark instead
+#: (`make perfbench`, declared in BENCHMARK.json); this trajectory is
+#: kept for local comparisons with `make bench-compare`.
 BENCH_JSON ?= BENCH_PR10.json
 
 #: Full per-file bench sweeps min-merged by `make bench` (see
@@ -40,7 +43,7 @@ FLEET_MIN_COVERAGE ?= 90
 #: Deterministic wire-fault schedule seeds replayed by `make chaos-test`.
 CHAOS_SEEDS ?= --seed 7 --seed 17
 
-.PHONY: test test-faults coverage coverage-service coverage-suites coverage-telemetry coverage-fleet chaos-test docs-check load-test load-test-smoke report report-html report-smoke pipelines sweep-smoke service-smoke suites-smoke bench bench-compare profile
+.PHONY: test test-faults coverage coverage-service coverage-suites coverage-telemetry coverage-fleet chaos-test docs-check load-test load-test-smoke report report-html report-smoke pipelines sweep-smoke service-smoke suites-smoke bench bench-compare perfbench profile
 
 ## Tier-1 verification: full unit/integration/experiment + benchmark
 ## suite, then the fault-injection suite, the sweep-smoke, service-smoke,
@@ -180,6 +183,12 @@ bench:
 ## shared benchmark regressed more than MAX_REGRESSION percent.
 bench-compare:
 	$(PY) benchmarks/compare.py $(or $(ARGS),--latest) --max-regression $(MAX_REGRESSION)
+
+## End-to-end benchmark (the merge gate; see perfbench/README.md):
+## every workload at seed 17, including the digests pinned in
+## perfbench/design.json.  Exits 1 if any output check fails.
+perfbench:
+	python3 perfbench/run.py --workload all --seed 17
 
 ## Profile one experiment under cProfile and print the top-25
 ## cumulative-time report: make profile EXPERIMENT=fig7

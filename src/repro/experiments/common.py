@@ -45,18 +45,16 @@ processes -- repeated CLI invocations, CI runs, the serving daemon's
 clients -- replay warm scenarios with zero simulation executions.
 :func:`cache_stats` reports every tier's hits/misses/evictions.
 
-:class:`ResultMatrix` is retained as a deprecated shim over the
-scenario API; :func:`format_table` forwards to its new home in
-:mod:`repro.api.results`.  New code should use
-:class:`repro.api.Scenario` / :class:`repro.api.Sweep` directly.
+:func:`format_table` forwards to its new home in
+:mod:`repro.api.results`; grids of results are
+:class:`repro.api.Scenario` / :class:`repro.api.Sweep` territory.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import warnings
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analytics.workload import (
     make_groupby_workload,
@@ -466,7 +464,6 @@ def run_cached_result(
     scale: float,
     seed: int = 17,
     num_partitions: int = NUM_PARTITIONS,
-    workload: Any = None,
 ) -> SystemResult:
     """Functionally run + cost one (system, operator) pair, memoized.
 
@@ -475,11 +472,6 @@ def run_cached_result(
     model scale to the workload key; results are immutable to their
     consumers (the figure modules only read them), so sharing one
     :class:`~repro.perf.result.SystemResult` across figures is safe.
-
-    ``workload`` lets a caller that already holds the (seed,
-    num_partitions) workload -- e.g. a :class:`ResultMatrix` running
-    with the shared caches disabled -- supply it instead of having
-    :func:`make_workload` rebuild it per system.
 
     When a persistent store is active (``REPRO_STORE`` / ``--store``,
     see :func:`configure_store`), it acts as the second cache tier:
@@ -499,11 +491,9 @@ def run_cached_result(
             scale=float(scale),
         ):
             return _run_cached_result(
-                system, operator, scale, seed, num_partitions, workload
+                system, operator, scale, seed, num_partitions
             )
-    return _run_cached_result(
-        system, operator, scale, seed, num_partitions, workload
-    )
+    return _run_cached_result(system, operator, scale, seed, num_partitions)
 
 
 def _run_cached_result(
@@ -512,7 +502,6 @@ def _run_cached_result(
     scale: float,
     seed: int,
     num_partitions: int,
-    workload: Any,
 ) -> SystemResult:
     key = (
         "result",
@@ -528,8 +517,7 @@ def _run_cached_result(
         machine = machine_for(system)
         return machine.run_operator(
             operator,
-            workload if workload is not None
-            else make_workload(operator, seed, num_partitions),
+            make_workload(operator, seed, num_partitions),
             scale_factor=scale,
         )
 
@@ -576,73 +564,6 @@ def _run_cached_result(
     if _CACHE_ENABLED:
         _RESULTS.put(key, result)
     return result
-
-
-class ResultMatrix:
-    """Deprecated: runs and caches (system, operator) -> SystemResult.
-
-    The pre-scenario-API front door, retained as a thin shim so old
-    call sites keep working.  New code should use
-    :class:`repro.api.Scenario` (one point) or :class:`repro.api.Sweep`
-    (a grid); both share the same content-keyed caches, so mixing old
-    and new callers costs nothing.
-    """
-
-    def __init__(
-        self,
-        systems: Iterable[str] = ALL_SYSTEMS,
-        operators: Iterable[str] = OPERATORS,
-        scale: float = MODEL_SCALE,
-        seed: int = 17,
-        num_partitions: int = NUM_PARTITIONS,
-    ) -> None:
-        warnings.warn(
-            "ResultMatrix is deprecated; use repro.api.Scenario / "
-            "repro.api.Sweep instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._systems = tuple(systems)
-        self._operators = tuple(operators)
-        self._scale = scale
-        self._seed = seed
-        self._num_partitions = num_partitions
-        self._cache: Dict[tuple, SystemResult] = {}
-        self._workloads: Dict[str, Any] = {}
-
-    @property
-    def systems(self) -> tuple:
-        return self._systems
-
-    @property
-    def operators(self) -> tuple:
-        return self._operators
-
-    def workload(self, operator: str):
-        if operator not in self._workloads:
-            self._workloads[operator] = make_workload(
-                operator, self._seed, self._num_partitions
-            )
-        return self._workloads[operator]
-
-    def result(self, system: str, operator: str) -> SystemResult:
-        key = (system, operator)
-        if key not in self._cache:
-            self._cache[key] = run_cached_result(
-                system,
-                operator,
-                self._scale,
-                self._seed,
-                self._num_partitions,
-                workload=self.workload(operator),
-            )
-        return self._cache[key]
-
-    def all_results(self) -> Dict[tuple, SystemResult]:
-        for system in self._systems:
-            for operator in self._operators:
-                self.result(system, operator)
-        return dict(self._cache)
 
 
 def format_table(headers: List[str], rows: List[List[Any]]) -> str:

@@ -13,13 +13,15 @@ concurrent clients split one simulation bill:
 - :mod:`repro.service.codec` -- exact JSON round-trip for
   ``SystemResult`` documents (minus the functional output payload).
 - :mod:`repro.service.scheduler` -- :class:`BatchScheduler`: batch
-  submission with deduplication, store consultation, and process-pool
-  fan-out for the misses.
+  submission with deduplication, store consultation, and the misses
+  evaluated in-process or on a supervised worker fleet.
 - :mod:`repro.service.daemon` / :mod:`repro.service.client` -- an
   asyncio JSON-lines TCP daemon (``ping`` / ``evaluate`` / ``sweep`` /
   ``stats`` / ``shutdown``) and its blocking client, returning the same
   tidy :class:`~repro.api.results.ResultSet` records as in-process
-  ``Sweep.run``.
+  ``Sweep.run``.  The daemon's line server, background launcher and
+  handle also serve the fleet router, and the client's retry matrix
+  also drives the async client.
 - :mod:`repro.service.resilience` -- the crash-safety layer: write-ahead
   store journaling with startup recovery, a supervised worker fleet
   with heartbeats / backoff restarts / circuit breaking, client retry

@@ -2,9 +2,10 @@
 
 Subcommands::
 
-    python -m repro.service serve  --store DIR [--host H] [--port P] [--jobs N]
-                                   [--workers N] [--fleet] [--shards N]
-                                   [--replicas R] [--hedge-after S]
+    python -m repro.service serve  --store DIR [--host H] [--port P]
+                                   [--workers N] [--max-bytes B] [--fleet]
+                                   [--shards N] [--replicas R]
+                                   [--hedge-after S]
     python -m repro.service submit --sweep SPEC.json [--host H] [--port P]
                                    [--json OUT] [--degrade local|fail]
     python -m repro.service stats  [--host H] [--port P]
@@ -99,14 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
              "still batches and memoizes in memory)",
     )
     serve_p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="process-pool width for store misses (default 1)",
-    )
-    serve_p.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="serve store misses through a supervised fleet of N "
              "persistent worker subprocesses (heartbeats, backoff "
-             "restarts, crash requeue; default 0 = use --jobs pool)",
+             "restarts, crash requeue; default 0 = evaluate misses "
+             "in-process)",
     )
     serve_p.add_argument(
         "--max-bytes", type=int, default=None, metavar="B",
@@ -207,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_serve(args) -> None:
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
     if args.workers < 0:
         raise SystemExit("--workers must be >= 0")
     if args.fleet:
@@ -231,7 +227,6 @@ def _cmd_serve(args) -> None:
         host=args.host,
         port=args.port,
         store=args.store,
-        jobs=args.jobs,
         max_bytes=args.max_bytes,
         workers=args.workers,
     )

@@ -21,10 +21,12 @@ semantics"):
   restarting the daemon between calls is invisible.  ``shutdown`` is
   never retried or resent: delivered-but-unacknowledged would stop a
   server twice.
-- A ``deadline`` (seconds per request) rides along on the wire as
-  ``deadline_s``; the daemon refuses to start work for a caller whose
-  budget lapsed while the request sat behind the batch lock.  Daemon
-  deadline rejections are terminal -- the budget is gone either way.
+- A ``deadline`` (seconds per request) bounds every connect, send and
+  receive of the call, retries included, and rides along on the wire as
+  ``deadline_s`` (the remaining budget on each resend); the daemon
+  refuses to start work for a caller whose budget lapsed while the
+  request sat behind the batch lock.  Running out of budget, locally or
+  at the daemon, is terminal -- the budget is gone either way.
 - ``degrade="local"`` turns an exhausted retry budget on
   ``evaluate``/``sweep`` into an in-process evaluation (with a
   :class:`ServiceDegradedWarning` and a ``degraded`` counter) instead
@@ -48,7 +50,7 @@ from repro.api.results import ResultSet
 from repro.api.scenario import Scenario
 from repro.api.sweep import Sweep
 
-from repro.service.daemon import DEFAULT_PORT
+from repro.service.daemon import DEFAULT_PORT, ServiceError
 from repro.service.resilience.retry import RetryPolicy
 
 #: Verbs that are safe to resend: either read-only or content-addressed
@@ -56,8 +58,65 @@ from repro.service.resilience.retry import RetryPolicy
 IDEMPOTENT_VERBS = frozenset({"ping", "stats", "evaluate", "sweep"})
 
 
-class ServiceError(RuntimeError):
-    """The daemon processed the request and reported a failure."""
+class _RetryMatrix:
+    """The idempotent-verb retry rules for one call, shared by both clients.
+
+    I/O-free: a client bounds each connect/send/receive by
+    :meth:`timeout`, and after a transport failure resends
+    :attr:`request` once :meth:`backoff` seconds pass -- or re-raises
+    when it returns ``None``.  Daemon-reported errors never get here.
+    """
+
+    def __init__(self, client: Any, verb: str, payload: Dict[str, Any],
+                 deadline: Optional[float]) -> None:
+        self.request = {"verb": verb, **payload}
+        self._client = client
+        self._idempotent = verb in IDEMPOTENT_VERBS
+        self._deadline = deadline
+        self._started = time.monotonic()
+        if deadline is not None and self._idempotent:
+            self.request.setdefault("deadline_s", deadline)
+        self._retried = 0
+        self._resend_spent = False
+
+    def _remaining(self) -> Optional[float]:
+        if self._deadline is None:
+            return None
+        return self._deadline - (time.monotonic() - self._started)
+
+    def timeout(self, limit: Optional[float]) -> Optional[float]:
+        """``limit`` or the remaining deadline, whichever is shorter;
+        raises ``TimeoutError`` once the deadline is spent."""
+        remaining = self._remaining()
+        if remaining is None:
+            return limit
+        if remaining <= 0:
+            raise TimeoutError(f"deadline of {self._deadline}s exhausted before send")
+        return remaining if limit is None else min(limit, remaining)
+
+    def backoff(self, reused: bool) -> Optional[float]:
+        """Seconds to wait before resending (0.0 for the free resend on
+        a reused connection), or ``None`` when the failure is terminal."""
+        if not self._idempotent:
+            return None
+        remaining = self._remaining()
+        if remaining is not None:
+            if remaining <= 0:
+                return None
+            self.request["deadline_s"] = remaining
+        counters = self._client.resilience
+        if reused and not self._resend_spent:
+            # The daemon may simply have restarted since the last call
+            # on this connection; resending on a fresh socket is free
+            # and does not touch the retry budget.
+            self._resend_spent = True
+            counters["reconnects"] += 1
+            return 0.0
+        if self._retried >= self._client.retries:
+            return None
+        counters["retries"] += 1
+        self._retried += 1
+        return self._client.retry_policy.delay(self._retried - 1, rng=self._client._rng)
 
 
 class ServiceDegradedWarning(UserWarning):
@@ -69,8 +128,10 @@ class ServiceClient:
 
     ``retries`` bounds resends of idempotent verbs after transport
     failure (0 disables); ``retry_policy`` shapes the backoff between
-    attempts.  ``deadline`` is a per-request budget in seconds, both
-    enforced locally and propagated to the daemon as ``deadline_s``.
+    attempts.  ``timeout`` bounds each socket operation; ``deadline`` is
+    a per-request budget in seconds, both enforced locally (no socket
+    operation outlives it) and propagated to the daemon as
+    ``deadline_s``.
     ``degrade`` picks the behaviour when every attempt at an
     ``evaluate``/``sweep`` fails in transport: ``"fail"`` re-raises,
     ``"local"`` falls back to in-process evaluation.  ``rng`` and
@@ -115,11 +176,17 @@ class ServiceClient:
     # -- connection management ----------------------------------------------
 
     def connect(self) -> "ServiceClient":
+        return self._open(self.timeout)
+
+    def _open(self, timeout: Optional[float]) -> "ServiceClient":
+        """Connect if closed; bound the socket's operations by ``timeout``."""
         if self._sock is None:
             self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
+                (self.host, self.port), timeout=timeout
             )
             self._reader = self._sock.makefile("rb")
+        else:
+            self._sock.settimeout(timeout)
         return self
 
     def close(self) -> None:
@@ -169,44 +236,21 @@ class ServiceClient:
         failures are retried up to ``retries`` times with backoff.
         Non-idempotent verbs (``shutdown``) fail on the first transport
         error.  Daemon-reported errors (:class:`ServiceError`) are
-        never retried -- the daemon already answered.
+        never retried -- the daemon already answered.  With a
+        ``deadline``, no connect, send or receive outlives the budget.
         """
-        request = {"verb": verb, **payload}
-        started = time.monotonic()
-        if self.deadline is not None and verb in IDEMPOTENT_VERBS:
-            request.setdefault("deadline_s", self.deadline)
-        idempotent = verb in IDEMPOTENT_VERBS
-        attempts = (1 + self.retries) if idempotent else 1
-        resend_spent = False
-        attempt = 0
+        matrix = _RetryMatrix(self, verb, payload, self.deadline)
         while True:
             reused = self._sock is not None
             try:
-                self.connect()
-                return self._exchange(request)
-            except ServiceError:
-                raise
-            except (OSError, ValueError) as exc:
-                if not idempotent:
+                self._open(matrix.timeout(self.timeout))
+                return self._exchange(matrix.request)
+            except (OSError, ValueError):
+                delay = matrix.backoff(reused)
+                if delay is None:
                     raise
-                if self.deadline is not None:
-                    remaining = self.deadline - (time.monotonic() - started)
-                    if remaining <= 0:
-                        raise
-                    request["deadline_s"] = remaining
-                if reused and not resend_spent:
-                    # The daemon may simply have restarted since the
-                    # last call on this connection; resending on a
-                    # fresh socket is free and does not touch the
-                    # retry budget.
-                    resend_spent = True
-                    self.resilience["reconnects"] += 1
-                    continue
-                attempt += 1
-                if attempt >= attempts:
-                    raise
-                self.resilience["retries"] += 1
-                self._sleep(self.retry_policy.delay(attempt - 1, rng=self._rng))
+            if delay:
+                self._sleep(delay)
 
     # -- verbs ---------------------------------------------------------------
 

@@ -19,10 +19,17 @@ down.
 
 Evaluations run in a worker thread (the event loop stays responsive to
 ``ping``/``stats`` while a batch simulates) but are serialized through
-one :class:`~repro.service.scheduler.BatchScheduler`, whose process
-pool provides the actual compute concurrency.  All clients therefore
-share a single warm store and in-memory cache: the second client to ask
-for a sweep gets it back without a single simulation.
+one :class:`~repro.service.scheduler.BatchScheduler`, which runs store
+misses in-process or on its supervised worker fleet.  All clients
+therefore share a single warm store and in-memory cache: the second
+client to ask for a sweep gets it back without a single simulation.
+
+The line server here is the only one in the service: the fleet router
+(:mod:`repro.service.fleet.router`) serves through the same loop,
+launcher and :class:`ServerHandle`.  Anything served provides a
+``stopping`` flag and a ``serving()`` async context manager that yields
+its ``answer(request, received)`` coroutine function for the lifetime
+of the loop.
 
 :func:`serve` blocks (the ``python -m repro.service serve`` entry
 point); :func:`serve_background` runs the same server on a daemon
@@ -33,11 +40,13 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import os
+import queue
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.experiments import common
 from repro.service.scheduler import BatchScheduler
@@ -68,6 +77,15 @@ class ServiceProtocolError(ValueError):
 
 class DeadlineExceeded(ServiceProtocolError):
     """A request whose client-supplied deadline lapsed before execution."""
+
+
+class ServiceError(RuntimeError):
+    """A server processed the request and reported a failure.
+
+    Clients raise it with the server's message.  The line server answers
+    it with that message verbatim, which is how the fleet router passes
+    a member daemon's error through to its own client unchanged.
+    """
 
 
 class EvaluationDaemon:
@@ -154,122 +172,174 @@ class EvaluationDaemon:
         self.stopping = True
         return {"stopping": True}
 
+    @contextlib.asynccontextmanager
+    async def serving(self):
+        """The line server's view of the daemon, for one serve loop.
 
-async def _serve_async(
-    daemon: EvaluationDaemon,
+        Yields the answer policy: ``ping``/``shutdown`` inline on the
+        event loop, ``stats`` on the executor, and everything else on
+        the executor behind one batch lock.  Closes the scheduler (stops
+        the worker fleet, flushes the store) when serving ends.
+        """
+        loop = asyncio.get_running_loop()
+        lock = asyncio.Lock()
+
+        async def answer(request: Any, received: float) -> Any:
+            verb = _verb_of(request)
+            if verb in _INLINE_VERBS:
+                # Answer immediately, even while a batch is simulating
+                # on the executor.
+                return self.dispatch(request, received)
+            if verb in _UNLOCKED_VERBS:
+                return await loop.run_in_executor(
+                    None, self.dispatch, request, received
+                )
+            # One batch at a time: the scheduler owns the evaluation
+            # runtime, and interleaved submits would interleave its
+            # stats and store scoping.  (Deadlines are re-checked inside
+            # dispatch, so time queued on this lock counts against them.)
+            async with lock:
+                return await loop.run_in_executor(
+                    None, self.dispatch, request, received
+                )
+
+        try:
+            yield answer
+        finally:
+            self.scheduler.close()
+
+
+def _encode(response: Dict[str, Any]) -> bytes:
+    return (json.dumps(response) + "\n").encode("utf-8")
+
+
+async def _answer_connection(server, answer, stopped, reader, writer) -> None:
+    """Answer one client's request lines until it hangs up."""
+    try:
+        while True:
+            try:
+                line = await reader.readline()
+            except ConnectionError:
+                break
+            except ValueError:
+                # readline() surfaces a line beyond the stream limit as
+                # ValueError (LimitOverrunError included); the buffer is
+                # unrecoverable mid-line, so answer once and drop only
+                # this connection.
+                writer.write(_encode({
+                    "ok": False,
+                    "error": f"request line exceeds {_MAX_LINE} bytes",
+                }))
+                await writer.drain()
+                break
+            if not line:
+                break
+            if not line.strip():
+                continue
+            try:
+                received = time.monotonic()
+                result = await answer(json.loads(line), received)
+                response = {"ok": True, "result": result}
+            except ServiceError as exc:
+                response = {"ok": False, "error": str(exc)}
+            except Exception as exc:  # noqa: BLE001 - protocol boundary
+                response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            writer.write(_encode(response))
+            await writer.drain()
+            if server.stopping:
+                stopped.set()
+                break
+    finally:
+        writer.close()
+
+
+async def _serve_lines(
+    server: Any,
     host: str,
     port: int,
     ready: Optional["queue.Queue"] = None,
     announce=None,
 ) -> None:
-    loop = asyncio.get_running_loop()
-    lock = asyncio.Lock()
+    """The JSON-lines server around one served object, until it stops."""
     stopped = asyncio.Event()
-
-    async def handle(reader, writer):
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ConnectionError:
-                    break
-                except ValueError:
-                    # readline() surfaces a line beyond the stream limit
-                    # as ValueError (LimitOverrunError included); the
-                    # buffer is unrecoverable mid-line, so answer once
-                    # and drop only this connection.
-                    writer.write(
-                        (json.dumps({
-                            "ok": False,
-                            "error": f"request line exceeds {_MAX_LINE} bytes",
-                        }) + "\n").encode("utf-8")
-                    )
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    received = time.monotonic()
-                    request = json.loads(line)
-                    verb = _verb_of(request)
-                    if verb in _INLINE_VERBS:
-                        # Answer immediately, even while a batch is
-                        # simulating on the executor.
-                        result = daemon.dispatch(request, received)
-                    elif verb in _UNLOCKED_VERBS:
-                        result = await loop.run_in_executor(
-                            None, daemon.dispatch, request, received
-                        )
-                    else:
-                        # One batch at a time: the scheduler owns the
-                        # evaluation runtime, and interleaved submits
-                        # would interleave its stats and store scoping.
-                        # (Deadlines are re-checked inside dispatch, so
-                        # time queued on this lock counts against them.)
-                        async with lock:
-                            result = await loop.run_in_executor(
-                                None, daemon.dispatch, request, received
-                            )
-                    response = {"ok": True, "result": result}
-                except Exception as exc:  # noqa: BLE001 - protocol boundary
-                    response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                writer.write((json.dumps(response) + "\n").encode("utf-8"))
-                await writer.drain()
-                if daemon.stopping:
-                    stopped.set()
-                    break
-        finally:
-            writer.close()
-
-    server = await asyncio.start_server(handle, host, port, limit=_MAX_LINE)
-    actual_port = server.sockets[0].getsockname()[1]
-    if announce is not None:
-        announce(host, actual_port)
-    if ready is not None:
-        # The loop + stop event ride along so ServerHandle.stop can
-        # escalate past an unresponsive wire protocol (see stop()).
-        ready.put((host, actual_port, loop, stopped))
-    try:
-        async with server:
+    async with server.serving() as answer:
+        listener = await asyncio.start_server(
+            functools.partial(_answer_connection, server, answer, stopped),
+            host, port, limit=_MAX_LINE,
+        )
+        actual_port = listener.sockets[0].getsockname()[1]
+        if announce is not None:
+            announce(host, actual_port)
+        if ready is not None:
+            # The loop + stop event ride along so ServerHandle.stop can
+            # escalate past an unresponsive wire protocol (see stop()).
+            ready.put((host, actual_port, asyncio.get_running_loop(), stopped))
+        async with listener:
             await stopped.wait()
-    finally:
-        # Serving is over: stop the worker fleet and flush the store.
-        daemon.scheduler.close()
+
+
+def _run_foreground(server: Any, host: str, port: int, announce, detail: str) -> None:
+    """Serve in the calling thread until a ``shutdown`` request.
+
+    ``announce(host, port)`` fires once the socket is bound; the default
+    ``print`` writes the ``serving on host:port (detail)`` banner that
+    scripts parse to find an ephemeral port.
+    """
+    if announce is print:
+        def announce(h, p):
+            print(f"repro.service: serving on {h}:{p} ({detail})", flush=True)
+    asyncio.run(_serve_lines(server, host, port, announce=announce))
+
+
+def _start_background(
+    server: Any, host: str, port: int, name: str
+) -> Tuple[str, int, threading.Thread, Callable[[], None]]:
+    """Serve on a daemon thread; returns once the socket accepts.
+
+    The result is the bound address, the thread, and a switch that sets
+    the serve loop's stop event directly on its own event loop.
+    """
+    ready: "queue.Queue" = queue.Queue()
+    thread = threading.Thread(
+        target=lambda: asyncio.run(_serve_lines(server, host, port, ready=ready)),
+        name=name,
+        daemon=True,
+    )
+    thread.start()
+    bound_host, bound_port, loop, stopped = ready.get(timeout=60)
+
+    def force_stop():
+        with contextlib.suppress(RuntimeError):  # loop already closed
+            loop.call_soon_threadsafe(stopped.set)
+
+    return bound_host, bound_port, thread, force_stop
 
 
 def serve(
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
     store: Optional[str] = None,
-    jobs: int = 1,
     max_bytes: Optional[int] = None,
     workers: int = 0,
     announce=print,
 ) -> None:
     """Run the daemon in the foreground until a ``shutdown`` request.
 
-    ``workers=N`` serves store misses through a supervised fleet of N
-    persistent worker subprocesses (heartbeats, backoff restarts, crash
-    requeue) instead of a per-batch process pool.
+    Store misses run in-process, or with ``workers=N`` through a
+    supervised fleet of N persistent worker subprocesses (heartbeats,
+    backoff restarts, crash requeue).
 
     ``announce(host, port)`` fires once the socket is bound -- the CLI
     prints the ``serving on host:port`` line scripts parse to find an
     ephemeral port.
     """
     daemon = EvaluationDaemon(
-        BatchScheduler(store=store, jobs=jobs, max_bytes=max_bytes, workers=workers)
+        BatchScheduler(store=store, max_bytes=max_bytes, workers=workers)
     )
-
-    def _announce(h, p):
-        if announce is print:
-            print(f"repro.service: serving on {h}:{p} "
-                  f"(store={daemon.scheduler.store_path() or 'none'})", flush=True)
-        elif announce is not None:
-            announce(h, p)
-
-    asyncio.run(_serve_async(daemon, host, port, announce=_announce))
+    _run_foreground(
+        daemon, host, port, announce,
+        f"store={daemon.scheduler.store_path() or 'none'}",
+    )
 
 
 class ServerHandle:
@@ -300,7 +370,7 @@ class ServerHandle:
         on its own event loop, then join again.  Calling ``stop`` on an
         already-stopped server is a no-op that returns ``True``.
         """
-        from repro.service.client import ServiceClient, ServiceError
+        from repro.service.client import ServiceClient
 
         if self._thread.is_alive():
             try:
@@ -319,7 +389,6 @@ def serve_background(
     host: str = "127.0.0.1",
     port: int = 0,
     store: Optional[str] = None,
-    jobs: int = 1,
     max_bytes: Optional[int] = None,
     workers: int = 0,
     scheduler: Optional[BatchScheduler] = None,
@@ -331,24 +400,8 @@ def serve_background(
     shared cache without a separate process.  ``scheduler`` injects a
     pre-built scheduler (tests hand in fleets with tight timeouts).
     """
-    import queue
-
-    ready: "queue.Queue" = queue.Queue()
     if scheduler is None:
-        scheduler = BatchScheduler(
-            store=store, jobs=jobs, max_bytes=max_bytes, workers=workers
-        )
-    daemon = EvaluationDaemon(scheduler)
-    thread = threading.Thread(
-        target=lambda: asyncio.run(_serve_async(daemon, host, port, ready=ready)),
-        name="repro-service",
-        daemon=True,
+        scheduler = BatchScheduler(store=store, max_bytes=max_bytes, workers=workers)
+    return ServerHandle(
+        *_start_background(EvaluationDaemon(scheduler), host, port, "repro-service")
     )
-    thread.start()
-    bound_host, bound_port, loop, stopped = ready.get(timeout=30)
-
-    def force_stop():
-        with contextlib.suppress(RuntimeError):  # loop already closed
-            loop.call_soon_threadsafe(stopped.set)
-
-    return ServerHandle(bound_host, bound_port, thread, force_stop=force_stop)

@@ -12,18 +12,20 @@ one process.
   daemon answers one connection's requests strictly in order).  A
   thousand in-flight evaluates need ``max_connections`` sockets, not a
   thousand.
-- **The idempotent-verb retry matrix.**  ``ping``/``stats``/
-  ``evaluate``/``sweep`` survive transport failure: a *reused*
-  connection gets one free reconnect-and-resend (a daemon restart
-  between calls is invisible), then up to ``retries`` fresh attempts
-  with :class:`~repro.service.resilience.retry.RetryPolicy` backoff.
+- **The idempotent-verb retry matrix**, shared with the blocking
+  client: ``ping``/``stats``/``evaluate``/``sweep`` survive transport
+  failure: a *reused* connection gets one free reconnect-and-resend (a
+  daemon restart between calls is invisible), then up to ``retries``
+  fresh attempts with
+  :class:`~repro.service.resilience.retry.RetryPolicy` backoff.
   ``shutdown`` is never resent.  Daemon-reported errors raise
   :class:`~repro.service.client.ServiceError` and are never retried.
 - **Per-request deadlines.**  ``deadline`` (constructor default or
-  per-call override) is enforced locally with ``asyncio.wait_for`` and
-  propagated on the wire as ``deadline_s`` (recomputed to the
-  *remaining* budget before each resend), so the daemon refuses to
-  start work for a caller whose budget already lapsed.
+  per-call override) bounds the connect and ``asyncio.wait_for`` of
+  every attempt and is propagated on the wire as ``deadline_s``
+  (recomputed to the *remaining* budget before each resend), so the
+  daemon refuses to start work for a caller whose budget already
+  lapsed.
 
 A timed-out or broken connection is discarded wholesale -- its other
 in-flight requests fail over to fresh connections through the same
@@ -36,18 +38,15 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import time
 from collections import deque
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.api.results import ResultSet
 from repro.api.scenario import Scenario
 from repro.api.sweep import Sweep
-from repro.service.client import IDEMPOTENT_VERBS, ServiceError
-from repro.service.daemon import DEFAULT_PORT
+from repro.service.client import ServiceError, _RetryMatrix
+from repro.service.daemon import _MAX_LINE, DEFAULT_PORT
 from repro.service.resilience.retry import RetryPolicy
-
-_MAX_LINE = 16 * 1024 * 1024
 
 
 class _PipelinedConnection:
@@ -187,7 +186,7 @@ class AsyncServiceClient:
 
     # -- the pool ------------------------------------------------------------
 
-    async def _connection(self) -> _PipelinedConnection:
+    async def _connection(self, timeout: Optional[float]) -> _PipelinedConnection:
         """Round-robin over the pool, (re)opening slots as needed."""
         if self._conn_lock is None:
             self._conn_lock = asyncio.Lock()
@@ -197,7 +196,7 @@ class AsyncServiceClient:
             conn = self._conns[slot]
             if conn is None or conn.closed:
                 conn = _PipelinedConnection(self.host, self.port)
-                await conn.open(self.timeout)
+                await conn.open(timeout)
                 self._conns[slot] = conn
             return conn
 
@@ -208,63 +207,36 @@ class AsyncServiceClient:
     ) -> Any:
         """One request/response; idempotent verbs survive transport loss.
 
-        Mirrors the blocking client's matrix: daemon-reported errors
+        The blocking client's retry matrix: daemon-reported errors
         (:class:`ServiceError`) are terminal; a reused connection earns
         one free reconnect-and-resend; fresh transport failures are
         retried ``retries`` times with backoff; ``shutdown`` never
-        resends.  The remaining deadline rides as ``deadline_s``.
+        resends.  The remaining deadline bounds each attempt and rides
+        as ``deadline_s``.
         """
-        request = {"verb": verb, **payload}
-        budget = deadline if deadline is not None else self.deadline
-        started = time.monotonic()
-        idempotent = verb in IDEMPOTENT_VERBS
-        if budget is not None and idempotent:
-            request.setdefault("deadline_s", budget)
-        attempts = (1 + self.retries) if idempotent else 1
-        resend_spent = False
-        attempt = 0
+        matrix = _RetryMatrix(
+            self, verb, payload, deadline if deadline is not None else self.deadline
+        )
         while True:
             conn = None
             reused = False
             try:
-                conn = await self._connection()
+                conn = await self._connection(matrix.timeout(self.timeout))
                 reused = conn.used
-                remaining = None
-                if budget is not None:
-                    remaining = budget - (time.monotonic() - started)
-                    if remaining <= 0:
-                        raise asyncio.TimeoutError(
-                            f"deadline of {budget}s exhausted before send"
-                        )
                 response = await asyncio.wait_for(
-                    conn.request(request), timeout=remaining
+                    conn.request(matrix.request), timeout=matrix.timeout(None)
                 )
-            except asyncio.TimeoutError:
-                # The FIFO is now misaligned for everything behind this
-                # request: the whole connection must go.
-                if conn is not None:
+            except (OSError, ValueError) as exc:
+                if isinstance(exc, TimeoutError) and conn is not None:
+                    # The FIFO is now misaligned for everything behind
+                    # this request: the whole connection must go.
                     with contextlib.suppress(Exception):
                         await conn.close()
-                raise
-            except (OSError, ValueError, ConnectionError) as exc:
-                if not idempotent:
+                delay = matrix.backoff(reused)
+                if delay is None:
                     raise
-                if budget is not None:
-                    remaining = budget - (time.monotonic() - started)
-                    if remaining <= 0:
-                        raise
-                    request["deadline_s"] = remaining
-                if reused and not resend_spent:
-                    resend_spent = True
-                    self.resilience["reconnects"] += 1
-                    continue
-                attempt += 1
-                if attempt >= attempts:
-                    raise
-                self.resilience["retries"] += 1
-                await asyncio.sleep(
-                    self.retry_policy.delay(attempt - 1, rng=self._rng)
-                )
+                if delay:
+                    await asyncio.sleep(delay)
                 continue
             if not response.get("ok"):
                 raise ServiceError(response.get("error", "unknown daemon error"))

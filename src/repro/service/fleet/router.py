@@ -31,7 +31,9 @@ store shard, all sharing the sharded store) do the evaluating:
   a single-daemon or in-process run.
 
 ``serve_fleet`` is the ``python -m repro.service serve --fleet`` entry
-point; ``start_fleet_background`` is the test/doctest form.  Hedge,
+point; ``start_fleet_background`` is the test/doctest form.  Both serve
+the router through the daemon's own line server, launcher and
+:class:`~repro.service.daemon.ServerHandle`.  Hedge,
 failover, respawn and degrade events are counted in the telemetry
 registry (``service.fleet.*``) and surface through ``stats`` /
 ``runtime_snapshot()``.
@@ -46,21 +48,20 @@ import os
 import re
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.service.daemon import (
+    _MAX_LINE,
+    ServerHandle,
+    ServiceError,
+    _run_foreground,
+    _start_background,
+)
 from repro.service.fleet.ring import HashRing, shard_name
 from repro.service.fleet.sharded import ShardedResultStore
 from repro.service.resilience.retry import CircuitBreaker, RetryPolicy
 from repro.version import __version__
-
-_MAX_LINE = 16 * 1024 * 1024
-
-#: Daemon-reported error prefix: the member answered, the *request* is
-#: bad -- failing over a deterministic error would just replay it.
-_DAEMON_ERROR = "daemon-error:"
 
 
 def _count(name: str, amount: int = 1) -> None:
@@ -226,10 +227,8 @@ class FleetRouter:
             raise MemberError(f"member {member.index} spoke garbage") from exc
         if not response.get("ok"):
             # The member *answered*: a deterministic request error that
-            # must surface to the client, not fail over.
-            raise RuntimeError(
-                f"{_DAEMON_ERROR} {response.get('error', 'unknown error')}"
-            )
+            # must surface to the client verbatim, not fail over.
+            raise ServiceError(response.get("error", "unknown error"))
         return response["result"]
 
     # -- placement -----------------------------------------------------------
@@ -442,7 +441,7 @@ class FleetRouter:
                 members[member.shard] = await self._member_call(
                     member, {"verb": "stats"}, timeout=self.health_timeout
                 )
-            except (MemberError, RuntimeError) as exc:
+            except (MemberError, ServiceError) as exc:
                 members[member.shard] = {"error": str(exc)}
         return {
             "requests": dict(self.requests),
@@ -472,7 +471,7 @@ class FleetRouter:
                 )
                 member.breaker.record_success()
                 member.crashes = 0
-            except (MemberError, RuntimeError):
+            except (MemberError, ServiceError):
                 member.breaker.record_failure()
                 self.counters["member_failures"] += 1
                 _count("member_failures")
@@ -502,6 +501,29 @@ class FleetRouter:
             with contextlib.suppress(Exception):
                 await self._health_check()
 
+    @contextlib.asynccontextmanager
+    async def serving(self):
+        """The line server's view of the router, for one serve loop.
+
+        Yields :meth:`dispatch` as the answer (members check deadlines
+        against their own receipt time) and runs the health loop
+        alongside; when serving ends, stops the owned members and
+        flushes the sharded store.
+        """
+        loop = asyncio.get_running_loop()
+        self._local_lock = asyncio.Lock()
+        self._inflight = asyncio.Semaphore(self.max_inflight)
+        health = asyncio.ensure_future(self._health_loop())
+        try:
+            yield lambda request, received: self.dispatch(request)
+        finally:
+            health.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await health
+            await loop.run_in_executor(None, self.stop_members)
+            if self.store is not None:
+                self.store.flush()
+
     def stop_members(self) -> None:
         """Shut down every member the router owns (spawned itself)."""
         for member in self.members:
@@ -509,7 +531,7 @@ class FleetRouter:
                 continue
             if member.proc.poll() is None:
                 try:
-                    from repro.service.client import ServiceClient, ServiceError
+                    from repro.service.client import ServiceClient
 
                     with ServiceClient(member.host, member.port, timeout=5.0,
                                        retries=0) as client:
@@ -525,72 +547,6 @@ class FleetRouter:
             if member.proc.stdout is not None:
                 with contextlib.suppress(OSError):
                     member.proc.stdout.close()
-
-
-async def _serve_router(
-    router: FleetRouter,
-    host: str,
-    port: int,
-    ready=None,
-    announce=None,
-) -> None:
-    loop = asyncio.get_running_loop()
-    stopped = asyncio.Event()
-    router._local_lock = asyncio.Lock()
-    router._inflight = asyncio.Semaphore(router.max_inflight)
-
-    async def handle(reader, writer):
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ConnectionError:
-                    break
-                except ValueError:
-                    writer.write((json.dumps({
-                        "ok": False,
-                        "error": f"request line exceeds {_MAX_LINE} bytes",
-                    }) + "\n").encode("utf-8"))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    request = json.loads(line)
-                    result = await router.dispatch(request)
-                    response = {"ok": True, "result": result}
-                except Exception as exc:  # noqa: BLE001 - protocol boundary
-                    message = f"{type(exc).__name__}: {exc}"
-                    if _DAEMON_ERROR in str(exc):
-                        message = str(exc).split(_DAEMON_ERROR, 1)[1].strip()
-                    response = {"ok": False, "error": message}
-                writer.write((json.dumps(response) + "\n").encode("utf-8"))
-                await writer.drain()
-                if router.stopping:
-                    stopped.set()
-                    break
-        finally:
-            writer.close()
-
-    server = await asyncio.start_server(handle, host, port, limit=_MAX_LINE)
-    actual_port = server.sockets[0].getsockname()[1]
-    if announce is not None:
-        announce(host, actual_port)
-    if ready is not None:
-        ready.put((host, actual_port, loop, stopped))
-    health = asyncio.ensure_future(router._health_loop())
-    try:
-        async with server:
-            await stopped.wait()
-    finally:
-        health.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await health
-        await loop.run_in_executor(None, router.stop_members)
-        if router.store is not None:
-            router.store.flush()
 
 
 def build_fleet(
@@ -638,38 +594,24 @@ def serve_fleet(
         store, shards=shards, replicas=replicas, host=host,
         hedge_after=hedge_after,
     )
-
-    def _announce(h, p):
-        if announce is print:
-            print(
-                f"repro.service: serving on {h}:{p} "
-                f"(fleet store={router.store.root}, shards={shards}, "
-                f"replicas={router.ring.replicas})",
-                flush=True,
-            )
-        elif announce is not None:
-            announce(h, p)
-
     try:
-        asyncio.run(_serve_router(router, host, port, announce=_announce))
+        _run_foreground(
+            router, host, port, announce,
+            f"fleet store={router.store.root}, shards={shards}, "
+            f"replicas={router.ring.replicas}",
+        )
     finally:
         router.stop_members()
 
 
-class FleetHandle:
-    """A background fleet: router address, member handles, a stop switch."""
+class FleetHandle(ServerHandle):
+    """A background fleet: a :class:`ServerHandle` on the router, plus
+    its members (listed, SIGKILLable, and stopped with the router)."""
 
     def __init__(self, host: str, port: int, router: FleetRouter,
-                 thread: threading.Thread, force_stop=None) -> None:
-        self.host = host
-        self.port = port
+                 thread, force_stop=None) -> None:
+        super().__init__(host, port, thread, force_stop)
         self.router = router
-        self._thread = thread
-        self._force_stop = force_stop
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
 
     def member_pids(self) -> List[int]:
         return [
@@ -688,20 +630,9 @@ class FleetHandle:
         return pid
 
     def stop(self, timeout: float = 30.0) -> bool:
-        from repro.service.client import ServiceClient, ServiceError
-
-        if self._thread.is_alive():
-            try:
-                with ServiceClient(self.host, self.port, retries=0) as client:
-                    client.shutdown()
-            except (OSError, ServiceError):
-                pass
-        self._thread.join(timeout)
-        if self._thread.is_alive() and self._force_stop is not None:
-            self._force_stop()
-            self._thread.join(timeout)
+        stopped = super().stop(timeout)
         self.router.stop_members()
-        return not self._thread.is_alive()
+        return stopped
 
 
 def start_fleet_background(
@@ -719,26 +650,12 @@ def start_fleet_background(
     tarpits, dead ports, tight hedge deadlines); otherwise the fleet is
     built over ``store`` exactly like :func:`serve_fleet`.
     """
-    import queue
-
     if router is None:
         router = build_fleet(
             store, shards=shards, replicas=replicas, host=host,
             hedge_after=hedge_after,
         )
-    ready: "queue.Queue" = queue.Queue()
-    thread = threading.Thread(
-        target=lambda: asyncio.run(
-            _serve_router(router, host, port, ready=ready)
-        ),
-        name="repro-fleet-router",
-        daemon=True,
+    bound_host, bound_port, thread, force_stop = _start_background(
+        router, host, port, "repro-fleet-router"
     )
-    thread.start()
-    bound_host, bound_port, loop, stopped = ready.get(timeout=60)
-
-    def force_stop():
-        with contextlib.suppress(RuntimeError):
-            loop.call_soon_threadsafe(stopped.set)
-
     return FleetHandle(bound_host, bound_port, router, thread, force_stop)

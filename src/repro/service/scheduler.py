@@ -1,4 +1,4 @@
-"""The batching job scheduler: dedup, store consult, pool fan-out.
+"""The batching job scheduler: dedup, store consult, miss evaluation.
 
 A :class:`BatchScheduler` accepts batches of :class:`~repro.api.Scenario`
 points (objects or their ``to_dict`` wire form) and turns each batch
@@ -12,19 +12,17 @@ order:
    the persistent store are served in-process -- the store-tier lookup
    inside ``run_cached_result`` restores the evaluated result with zero
    simulation executions.
-3. **Fan out misses.**  Remaining points run either through the
-   existing process-pool runtime (``jobs=N``, the same worker
-   ``Sweep.run`` uses) or -- with ``workers=N`` -- through a
-   **supervised worker fleet**
+3. **Evaluate misses.**  Remaining points run in-process, or -- with
+   ``workers=N`` -- through a **supervised worker fleet**
    (:class:`~repro.service.resilience.supervisor.WorkerFleet`):
    persistent worker subprocesses that are heartbeat-monitored,
    restarted with backoff when they crash, and whose in-flight tasks
    are requeued (idempotent content-digest ids, so replays dedup
    against the store).  When the fleet's circuit breaker opens, the
    remaining tasks degrade to in-process evaluation -- a batch always
-   completes.  Either way workers inherit the store handle and write
-   their evaluated results back, so one batch warms the store for
-   every later client.
+   completes.  Workers inherit the store handle and write their
+   evaluated results back, so one batch warms the store for every
+   later client.
 
 The scheduler is the daemon's engine, but stands alone: feeding it
 ``Sweep(...).scenarios()`` is the programmatic batch API.
@@ -33,16 +31,14 @@ The scheduler is the daemon's engine, but stands alone: feeding it
 from __future__ import annotations
 
 import contextlib
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.api.results import ResultSet
 from repro.api.scenario import Scenario
-from repro.api.sweep import Sweep, _sweep_worker
+from repro.api.sweep import Sweep
 from repro.experiments import common
 from repro.telemetry import registry as _registry
 from repro.telemetry import span as _span
-from repro.telemetry import trace as _trace
 
 
 class BatchScheduler:
@@ -51,16 +47,14 @@ class BatchScheduler:
     def __init__(
         self,
         store: Optional[Any] = None,
-        jobs: int = 1,
         max_bytes: Optional[int] = None,
         workers: int = 0,
         fleet: Optional[Any] = None,
     ) -> None:
         """``store`` is a directory path (or ``None`` to use the
-        process-wide selection: ``--store`` flag / ``REPRO_STORE``);
-        ``jobs`` caps the process-pool width used for store misses.
+        process-wide selection: ``--store`` flag / ``REPRO_STORE``).
 
-        ``workers=N`` replaces the per-batch process pool with a
+        Store misses run in-process unless ``workers=N`` asks for a
         **supervised fleet** of N persistent worker subprocesses
         (spawned eagerly, reused across batches, heartbeat-monitored,
         restarted on crash); ``fleet`` injects a pre-built
@@ -74,8 +68,6 @@ class BatchScheduler:
         scheduler (or a background daemon) does not hijack the host
         process's caching configuration.
         """
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self._store = None
@@ -89,7 +81,6 @@ class BatchScheduler:
                 self._store = open_store(store, max_bytes=max_bytes)
             else:
                 self._store = store  # an already-open store handle
-        self.jobs = jobs
         self._fleet = fleet
         if fleet is None and workers > 0:
             from repro.service.resilience.supervisor import WorkerFleet
@@ -162,7 +153,6 @@ class BatchScheduler:
         for scenario in scenarios:
             unique.setdefault(scenario)
 
-        tracer = _trace.active_tracer()
         with _span(
             "batch",
             category="service",
@@ -190,23 +180,6 @@ class BatchScheduler:
                     records[scenario] = chunk
                 if store is not None and store_delta:
                     store.merge_stats(store_delta)
-            elif len(misses) > 1 and self.jobs > 1:
-                payloads = [
-                    (s, common.cache_enabled(), common.store_path(),
-                     tracer is not None)
-                    for s in misses
-                ]
-                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                    for scenario, (chunk, store_delta, spans) in zip(
-                        misses, pool.map(_sweep_worker, payloads)
-                    ):
-                        records[scenario] = chunk
-                        if store is not None and store_delta:
-                            store.merge_stats(store_delta)
-                        if tracer is not None and spans:
-                            tracer.adopt(
-                                spans, parent_id=tracer.current_span_id()
-                            )
             else:
                 for scenario in misses:
                     records[scenario] = scenario.records()
@@ -249,7 +222,7 @@ class BatchScheduler:
 
     @property
     def fleet(self) -> Optional[Any]:
-        """The supervised worker fleet, or ``None`` in pool/in-process mode."""
+        """The supervised worker fleet, or ``None`` in in-process mode."""
         return self._fleet
 
     def close(self) -> None:

@@ -75,6 +75,10 @@ from repro.service.resilience.journal import (
 #: fsync-before-rename discipline process-wide (tests, scratch stores).
 FSYNC_ENV = "REPRO_STORE_FSYNC"
 
+#: Temp-write + rename tries per put when another process's recovery
+#: settles the put's live intent under it (see :meth:`ResultStore.put`).
+_PUT_ATTEMPTS = 3
+
 #: Salt folded into every digest.  Bump when the cost model or the
 #: stored document schema changes meaning: old entries then simply stop
 #: matching instead of replaying outdated results.
@@ -232,27 +236,46 @@ class ResultStore:
     def _object_path(self, digest: str) -> Path:
         return self._objects / digest[:2] / f"{digest}.json"
 
-    def _reconcile(self) -> None:
-        """Make the index agree with the objects actually on disk.
-
-        Entries another process wrote are adopted (oldest-first by file
-        mtime, below every known tick, so they evict before anything this
-        handle has touched); entries whose file vanished are dropped, and
-        known entries' sizes are refreshed from disk.
-        """
+    def _scan_objects(self) -> Dict[str, os.stat_result]:
+        """Stat every object on disk, keyed by digest (takes no lock)."""
         on_disk = {}
         for path in self._objects.glob("*/*.json"):
             try:
                 on_disk[path.stem] = path.stat()
             except OSError:
                 continue
+        return on_disk
+
+    def _reconcile(
+        self,
+        on_disk: Optional[Dict[str, os.stat_result]] = None,
+        scanned_at: Optional[int] = None,
+    ) -> None:
+        """Make the index agree with the objects actually on disk.
+
+        Entries another process wrote are adopted (oldest-first by file
+        mtime, below every known tick, so they evict before anything this
+        handle has touched); entries whose file vanished are dropped, and
+        known entries' sizes are refreshed from disk.
+
+        ``on_disk`` may be a :meth:`_scan_objects` snapshot taken outside
+        the lock when the tick was ``scanned_at``: entries touched since
+        are newer than the snapshot and are kept, and adoptions are
+        re-checked on disk, since a put may have evicted them meanwhile.
+        """
+        if on_disk is None:
+            on_disk, scanned_at = self._scan_objects(), self._tick
         for digest in list(self._entries):
-            if digest not in on_disk:
-                del self._entries[digest]
-            else:
+            if digest in on_disk:
                 self._entries[digest]["size"] = on_disk[digest].st_size
+            elif self._entries[digest]["tick"] <= scanned_at:
+                del self._entries[digest]
         unknown = sorted(
-            (d for d in on_disk if d not in self._entries),
+            (
+                d
+                for d in on_disk
+                if d not in self._entries and self._object_path(d).is_file()
+            ),
             key=lambda d: (on_disk[d].st_mtime, d),
         )
         for order, digest in enumerate(unknown):
@@ -320,31 +343,49 @@ class ResultStore:
         forward if the temp file was complete, discarded otherwise.
         The temp name carries the pid, so concurrent writers of the
         same digest never share (or tear) a temp file.
+
+        Another process opening the store runs recovery over *live*
+        intents too, and may move this put's temp file into place or
+        delete it as incomplete before the rename.  Entries are
+        content-addressed, so an object found in place then holds these
+        very bytes; otherwise the write is journaled and made again.
         """
         path = self._object_path(digest)
         text = json.dumps(document, sort_keys=True)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f".{digest}.{os.getpid()}.tmp"
-        with self._journal.intent(digest, final=path, tmp=tmp):
+        for attempt in range(_PUT_ATTEMPTS):
             try:
-                with open(tmp, "w") as fh:
-                    fh.write(text)
-                    if self._fsync:
-                        fh.flush()
-                        os.fsync(fh.fileno())
-                os.replace(tmp, path)
-                if self._fsync:
-                    fsync_dir(path.parent)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
+                with self._journal.intent(digest, final=path, tmp=tmp):
+                    self._write_object(tmp, path, text)
+                break
+            except FileNotFoundError:
+                if _parses_as_json(path):
+                    break
+                if attempt == _PUT_ATTEMPTS - 1:
+                    raise
         with self._lock:
             self._stats["puts"] += 1
             self._touch(digest, size=len(text))
             self._evict_to_budget(keep=digest)
             self._save_index()
         return path
+
+    def _write_object(self, tmp: Path, path: Path, text: str) -> None:
+        """Temp-write ``text`` and rename it to ``path`` (durably if fsync)."""
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+                if self._fsync:
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            os.replace(tmp, path)
+            if self._fsync:
+                fsync_dir(path.parent)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt object aside where it can never be served."""
@@ -500,9 +541,15 @@ class ResultStore:
         O(entries) directory scan), so entries other processes (pool
         workers, concurrent CLIs) wrote are counted; use
         :meth:`counters` where occupancy is not needed.
+
+        The scan runs outside the lock: a thread polling ``stats`` must
+        not hold writers off the handle for the length of a directory walk.
         """
         with self._lock:
-            self._reconcile()
+            scanned_at = self._tick
+        on_disk = self._scan_objects()
+        with self._lock:
+            self._reconcile(on_disk, scanned_at)
             return dict(
                 self._stats, entries=len(self._entries), bytes=self.total_bytes()
             )

@@ -767,3 +767,23 @@ class TestAsyncClient:
             asyncio.run(drive())
         finally:
             handle.stop()
+
+
+class TestSyncClientDeadline:
+    @pytest.mark.parametrize("retries", [0, 2])
+    def test_deadline_expires_against_a_tarpit(self, retries):
+        """The blocking twin of the async tarpit test: the deadline, not
+        the ten-times-longer socket timeout, bounds the call -- retries
+        included."""
+        tarpit = Tarpit()
+        tarpit.start()
+        client = ServiceClient("127.0.0.1", tarpit.port, retries=retries,
+                               deadline=0.3, timeout=3.0)
+        try:
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.call("ping")
+            assert time.monotonic() - started < 1.5
+        finally:
+            client.close()
+            tarpit.stop()

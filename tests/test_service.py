@@ -184,6 +184,28 @@ class TestResultStore:
             poller.join(30)
         assert errors == []
 
+    def test_stats_scan_races_a_put(self, tmp_path, monkeypatch):
+        # stats() walks the objects tree outside the lock; a put that
+        # lands (and evicts) between the walk and the reconcile must
+        # neither vanish from the index nor resurrect its victim.
+        payload = {"pad": "x" * 64}
+        size = len(json.dumps(payload, sort_keys=True))
+        store = ResultStore(tmp_path, max_bytes=2 * size)
+        a, b, c = (digest_payload({"k": i}) for i in range(3))
+        store.put(a, payload)
+        store.put(b, payload)
+        real_scan = store._scan_objects
+
+        def scan_then_put():
+            snapshot = real_scan()
+            store.put(c, payload)  # evicts a, the least recently used
+            return snapshot
+
+        monkeypatch.setattr(store, "_scan_objects", scan_then_put)
+        stats = store.stats()
+        assert sorted(store.digests()) == sorted([b, c])
+        assert stats["entries"] == 2 and stats["bytes"] == 2 * size
+
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         store = ResultStore(tmp_path)
         for i in range(5):
@@ -218,6 +240,41 @@ class TestResultStore:
         for digest in digests:  # every surviving entry is intact JSON
             document = store.get(digest)
             assert document is not None and document["pad"] == "z" * 256
+
+    @pytest.mark.parametrize("temp_file", ["complete", "torn"])
+    def test_put_survives_recovery_of_its_live_intent(
+        self, tmp_path, monkeypatch, temp_file
+    ):
+        """A store opened mid-put settles the put's live intent.
+
+        The open's recovery runs between the temp write and the rename:
+        it rolls a complete temp file forward into place, or deletes a
+        torn one.  Either way the put still lands its document.
+        """
+        import repro.service.store as store_module
+
+        store = ResultStore(tmp_path)
+        digest = digest_payload({"k": "live"})
+        objects = tmp_path / "objects"
+        real_replace = os.replace
+        interrupted = []
+
+        def replace_after_recovery(src, dst):
+            if not interrupted and Path(dst).parent.parent == objects:
+                interrupted.append(src)
+                if temp_file == "torn":
+                    Path(src).write_text("{torn")
+                ResultStore(tmp_path)  # opening a handle runs recovery
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(store_module.os, "replace", replace_after_recovery)
+        store.put(digest, {"v": 1})
+        monkeypatch.undo()
+        assert interrupted
+        assert store.get(digest) == {"v": 1}
+        assert ResultStore(tmp_path).get(digest) == {"v": 1}
+        assert list((tmp_path / "journal").glob("*.json")) == []
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +466,14 @@ class TestBatchScheduler:
         got = scheduler.submit([s.to_dict() for s in sweep.scenarios()])
         assert got.to_json() == expected.to_json()
 
-    def test_jobs_fan_out_matches_sequential(self, tmp_path):
+    def test_worker_fleet_matches_sequential(self, tmp_path):
         sweep = Sweep.from_json(SMOKE_SPEC.read_text())
         expected = sweep.run()
-        scheduler = BatchScheduler(store=tmp_path, jobs=2)
-        got = scheduler.submit_sweep(sweep)
+        scheduler = BatchScheduler(store=tmp_path, workers=2)
+        try:
+            got = scheduler.submit_sweep(sweep)
+        finally:
+            scheduler.close()
         assert got.to_json() == expected.to_json()
         # The workers wrote their evaluations into the shared store.
         reopened = ResultStore(tmp_path)
@@ -424,7 +484,7 @@ class TestBatchScheduler:
         with pytest.raises(TypeError):
             scheduler.submit(["not-a-scenario"])
         with pytest.raises(ValueError):
-            BatchScheduler(jobs=0)
+            BatchScheduler(workers=-1)
 
     def test_scheduler_store_is_scoped_not_global(self, tmp_path):
         """A scheduler-owned store must not leak into the process-wide
@@ -437,11 +497,14 @@ class TestBatchScheduler:
         assert scheduler.store_path() == str(tmp_path)
         assert scheduler.store_stats()["puts"] == 1
 
-    def test_jobs_fan_out_aggregates_worker_store_stats(self, tmp_path):
-        scheduler = BatchScheduler(store=tmp_path, jobs=2)
+    def test_worker_fleet_aggregates_worker_store_stats(self, tmp_path):
+        scheduler = BatchScheduler(store=tmp_path, workers=2)
         common.clear_caches()  # force the workers to do the store traffic
         points = [Scenario("cpu", "scan", **FAST), Scenario("cpu", "join", **FAST)]
-        scheduler.submit(points)
+        try:
+            scheduler.submit(points)
+        finally:
+            scheduler.close()
         stats = scheduler.store_stats()
         assert stats["puts"] == 2  # workers' counters folded into the parent
         assert stats["entries"] == 2

@@ -1,7 +1,8 @@
 """Tests for the service's failure-path surfaces: ``ServerHandle.stop``
-timeout/escalation, daemon responses to oversized / malformed / deadline
--carrying requests, and the ``python -m repro.service`` CLI driven
-in-process (serve wiring, submit degradation, offline recover)."""
+timeout/escalation, the protocol-edge responses of both front doors
+(the daemon and the fleet router share one line server) to oversized /
+blank / malformed requests, and the ``python -m repro.service`` CLI
+driven in-process (serve wiring, submit degradation, offline recover)."""
 
 import json
 import socket
@@ -77,53 +78,75 @@ class TestServerHandleStop:
 
 
 # ---------------------------------------------------------------------------
-# Daemon protocol edge cases
+# Protocol edge cases, for both front doors
 # ---------------------------------------------------------------------------
 
 
-class TestDaemonProtocolErrors:
-    @pytest.fixture()
-    def server(self):
-        handle = serve_background()
-        yield handle
-        handle.stop()
+@pytest.fixture(params=["daemon", "fleet router"])
+def door(request, tmp_path):
+    """``(address, service name)`` of one front door.
 
+    The router fronts one in-thread member daemon, wired by hand, so the
+    fleet case costs no subprocess.
+    """
+    member = serve_background()
+    if request.param == "daemon":
+        yield member.address, "repro.service"
+        member.stop()
+        return
+    from repro.service.fleet import FleetRouter, start_fleet_background
+    from repro.service.fleet.router import Member
+
+    router = FleetRouter([Member(0, *member.address)], hedge_after=None,
+                         respawn=False)
+    fleet = start_fleet_background(str(tmp_path), router=router)
+    yield fleet.address, "repro.service.fleet"
+    fleet.stop()
+    member.stop()
+
+
+class TestProtocolErrors:
     def _raw_exchange(self, address, payload: bytes, count: int = 1):
         with socket.create_connection(address, timeout=30) as sock:
             reader = sock.makefile("rb")
             sock.sendall(payload)
             return [json.loads(reader.readline()) for _ in range(count)]
 
-    def test_malformed_json_gets_an_error_response(self, server):
+    def _error_then_ping(self, door, bad_line: bytes):
         # The same connection stays usable after the bad line.
-        responses = self._raw_exchange(
-            server.address,
-            b'{"verb": not json}\n{"verb": "ping"}\n',
-            count=2,
+        address, service = door
+        error, pong = self._raw_exchange(
+            address, bad_line + b'{"verb": "ping"}\n', count=2
         )
-        assert responses[0]["ok"] is False
-        assert responses[1]["ok"] is True
-        assert responses[1]["result"]["service"] == "repro.service"
+        assert error["ok"] is False
+        assert pong["ok"] is True
+        assert pong["result"]["service"] == service
+        return error["error"]
 
-    def test_non_object_requests_are_rejected(self, server):
-        for payload in (b"[1, 2, 3]\n", b'"ping"\n', b"{}\n"):
-            response = self._raw_exchange(server.address, payload)[0]
-            assert response["ok"] is False
-            assert "JSON objects" in response["error"]
-
-    def test_non_string_verb_is_an_unknown_verb(self, server):
-        response = self._raw_exchange(server.address, b'{"verb": 5}\n')[0]
-        assert response["ok"] is False
-        assert "unknown verb" in response["error"]
-
-    def test_blank_lines_are_skipped(self, server):
-        responses = self._raw_exchange(
-            server.address, b'\n  \n{"verb": "ping"}\n'
+    def test_malformed_json_gets_an_error_response(self, door):
+        assert "JSONDecodeError" in self._error_then_ping(
+            door, b'{"verb": not json}\n'
         )
-        assert responses[0]["ok"] is True
 
-    def test_oversized_line_answered_then_connection_dropped(self, server):
-        with socket.create_connection(server.address, timeout=30) as sock:
+    @pytest.mark.parametrize("payload", [b"[1, 2, 3]\n", b'"ping"\n', b"{}\n"],
+                             ids=["array", "string", "verbless"])
+    def test_non_object_requests_are_rejected(self, door, payload):
+        assert "JSON objects" in self._error_then_ping(door, payload)
+
+    @pytest.mark.parametrize("payload", [b'{"verb": 5}\n',
+                                         b'{"verb": "frobnicate"}\n'],
+                             ids=["non-string", "unknown"])
+    def test_unknown_verbs_are_rejected(self, door, payload):
+        assert "unknown verb" in self._error_then_ping(door, payload)
+
+    def test_blank_lines_are_skipped(self, door):
+        address, service = door
+        responses = self._raw_exchange(address, b'\n  \n{"verb": "ping"}\n')
+        assert responses[0]["result"]["service"] == service
+
+    def test_oversized_line_answered_then_connection_dropped(self, door):
+        address, service = door
+        with socket.create_connection(address, timeout=30) as sock:
             reader = sock.makefile("rb")
             sock.sendall(b'{"pad": "' + b"x" * (_MAX_LINE + 1024) + b'"}\n')
             response = json.loads(reader.readline())
@@ -131,8 +154,8 @@ class TestDaemonProtocolErrors:
             assert "exceeds" in response["error"]
             assert reader.readline() == b""  # that connection is done
         # ... but the server is not.
-        with ServiceClient(*server.address) as client:
-            assert client.ping()["service"] == "repro.service"
+        with ServiceClient(*address) as client:
+            assert client.ping()["service"] == service
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +165,6 @@ class TestDaemonProtocolErrors:
 
 class TestServiceCli:
     def test_serve_flag_validation(self):
-        with pytest.raises(SystemExit, match="--jobs"):
-            service_cli.main(["serve", "--jobs", "0"])
         with pytest.raises(SystemExit, match="--workers"):
             service_cli.main(["serve", "--workers", "-1"])
 
@@ -183,9 +204,9 @@ class TestServiceCli:
                             lambda **kw: seen.update(kw))
         service_cli.main([
             "serve", "--port", "0", "--store", str(tmp_path),
-            "--jobs", "2", "--workers", "3", "--max-bytes", "1000",
+            "--workers", "3", "--max-bytes", "1000",
         ])
-        assert seen["workers"] == 3 and seen["jobs"] == 2
+        assert seen["workers"] == 3 and seen["max_bytes"] == 1000
         assert seen["store"] == str(tmp_path)
 
     def test_ping_stats_submit_round_trip(self, tmp_path, capsys):
