@@ -6,11 +6,16 @@ model scale).  The workload is either one of the four basic operators
 multi-operator queries of :mod:`repro.pipeline.queries`
 (``fk-join-aggregate``, ``sort-then-scan``, ``skewed-partition-join``).
 
-Operator scenarios run through the shared content-keyed caches of
-:mod:`repro.experiments.common` -- a scenario naming a plain preset hits
-the exact same cache entries the paper-report figures populate.  Query
-scenarios execute their plan end-to-end through
-:meth:`~repro.systems.machine.Machine.run_pipeline`.
+A scenario is a :class:`~repro.experiments.common.Point` of kind
+``operator`` or ``query``: both kinds evaluate through the one
+content-keyed path, :func:`repro.experiments.common.evaluate` (memory
+tier, then the persistent store, then execution), keyed by the
+scenario's :attr:`digest`.  A scenario naming a plain preset hits the
+exact same cache entries the paper-report figures populate.  An
+operator point executes through
+:meth:`~repro.systems.machine.Machine.run_operator`; a query point runs
+its plan through :meth:`~repro.systems.machine.Machine.run_pipeline`
+and is cached as a :class:`~repro.pipeline.perf.StagedRun`.
 
 ``records()`` flattens either kind into the tidy per-phase rows a
 :class:`~repro.api.results.ResultSet` holds; ``run()`` wraps them.
@@ -31,6 +36,7 @@ from repro.api.results import ResultSet
 from repro.api.spec import SystemSpec, as_spec
 from repro.experiments import common
 from repro.perf.result import SystemResult
+from repro.pipeline.perf import StagedRun
 from repro.pipeline.queries import CANONICAL_QUERIES, CANONICAL_QUERY_SIZES
 
 #: The basic operators a scenario may name (the experiments layer's
@@ -39,7 +45,7 @@ OPERATORS = common.OPERATORS
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(common.Point):
     """One (system, workload, parameters, scale) evaluation point.
 
     ``system`` may be a preset name (kept verbatim so the shared result
@@ -76,9 +82,35 @@ class Scenario:
         return self.system if isinstance(self.system, str) else self.system.label
 
     @property
+    def kind(self) -> str:
+        """``query`` for a canonical multi-operator query, else ``operator``."""
+        return "query" if self.operator in CANONICAL_QUERIES else "operator"
+
+    @property
     def is_query(self) -> bool:
         """True when the workload is a canonical multi-operator query."""
-        return self.operator in CANONICAL_QUERIES
+        return self.kind == "query"
+
+    def key_payload(self) -> Dict[str, Any]:
+        """Everything this point's value depends on (see :attr:`digest`);
+        a query names its ``CANONICAL_QUERY_SIZES`` parameters."""
+        if not self.is_query:
+            return common.result_store_payload(
+                self.system,
+                self.operator,
+                self.model_scale,
+                self.seed,
+                self.num_partitions,
+            )
+        return {
+            "kind": "query-result",
+            "system": common.system_payload(self.system),
+            "query": self.operator,
+            "params": CANONICAL_QUERY_SIZES.get(self.operator, {}),
+            "scale": float(self.model_scale),
+            "seed": int(self.seed),
+            "num_partitions": int(self.num_partitions),
+        }
 
     # -- execution ----------------------------------------------------------
 
@@ -86,22 +118,27 @@ class Scenario:
         """The (singleton-cached) machine this scenario evaluates on."""
         return common.machine_for(self.system)
 
+    def execute(self) -> Union[SystemResult, StagedRun]:
+        """Evaluate without any cache tier (the evaluation path's miss)."""
+        if self.is_query:
+            return StagedRun.of(self.perf())
+        return self.machine().run_operator(
+            self.operator,
+            common.make_workload(self.operator, self.seed, self.num_partitions),
+            scale_factor=self.model_scale,
+        )
+
     def result(self) -> SystemResult:
         """Run an operator scenario via the shared content-keyed cache."""
         if self.is_query:
             raise ValueError(
                 f"{self.operator!r} is a query scenario; use perf() or records()"
             )
-        return common.run_cached_result(
-            self.system,
-            self.operator,
-            self.model_scale,
-            seed=self.seed,
-            num_partitions=self.num_partitions,
-        )
+        return common.evaluate(self)
 
     def perf(self):
-        """Run a query scenario end-to-end; returns a ``PipelinePerf``."""
+        """Run a query scenario end-to-end, uncached, functional outputs
+        included; returns a ``PipelinePerf``."""
         if not self.is_query:
             raise ValueError(
                 f"{self.operator!r} is an operator scenario; use result()"
@@ -126,13 +163,9 @@ class Scenario:
         machine = self.machine()
         if self.is_query:
             records = []
-            for stage_perf in self.perf().stages:
+            for stage, _operator, _table, result in common.evaluate(self).stages:
                 records.extend(
-                    records_from_result(
-                        machine,
-                        stage_perf.result,
-                        dict(base, stage=stage_perf.stage),
-                    )
+                    records_from_result(machine, result, dict(base, stage=stage))
                 )
             return records
         return records_from_result(machine, self.result(), base)

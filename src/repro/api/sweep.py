@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.api.results import ResultSet
 from repro.api.scenario import Scenario
@@ -101,37 +101,7 @@ class Sweep:
         back in grid order either way, so the export bytes are identical
         to a sequential run.
         """
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        scenarios = self.scenarios()
-        with _span(
-            "sweep", category="api", points=len(scenarios), jobs=jobs
-        ):
-            if jobs == 1 or len(scenarios) <= 1:
-                records: List[Dict[str, Any]] = []
-                for scenario in scenarios:
-                    records.extend(scenario.records())
-                return ResultSet(records)
-            tracer = _trace.active_tracer()
-            payloads = [
-                (s, common.cache_enabled(), common.store_path(),
-                 tracer is not None)
-                for s in scenarios
-            ]
-            store = common.active_store()
-            records = []
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for chunk, store_delta, spans in pool.map(
-                    _sweep_worker, payloads
-                ):
-                    records.extend(chunk)
-                    if store is not None and store_delta:
-                        store.merge_stats(store_delta)
-                    if tracer is not None and spans:
-                        tracer.adopt(
-                            spans, parent_id=tracer.current_span_id()
-                        )
-            return ResultSet(records)
+        return run_points(self.scenarios(), jobs, "sweep", "api")
 
     # -- serialization ------------------------------------------------------
 
@@ -170,48 +140,42 @@ class Sweep:
         return cls.from_dict(data)
 
 
-def _sweep_worker(
-    payload,
-) -> Tuple[
-    List[Dict[str, Any]], Optional[Dict[str, int]], Optional[List[Dict[str, Any]]]
-]:
-    """Process-pool entry point: (scenario, use_cache, store[, trace]) ->
-    (records, store-counter delta, worker spans).
+def run_points(points: Sequence[Any], jobs: int, span: str, category: str) -> ResultSet:
+    """Evaluate points into one :class:`ResultSet`, records in point order.
 
-    Workers inherit the parent's persistent-store selection explicitly
-    (an env-var default would survive ``fork`` anyway, but a ``--store``
-    flag set only in the parent would not), so store writes land in one
-    shared directory regardless of worker count.  Each task reports the
-    store traffic it caused as a counter delta; the parent folds those
-    into its own handle, keeping ``--jobs N`` runs' reported store stats
-    truthful even though the I/O happened in workers.
-
-    When the parent is tracing (``trace`` element true), the worker runs
-    its own :class:`~repro.telemetry.trace.Tracer` and ships the
-    finished spans back as plain dicts; the parent re-parents them under
-    its sweep span via ``Tracer.adopt``.
+    ``jobs > 1`` fans the points over a process pool (:func:`_pool_worker`);
+    each worker's store traffic is folded into the parent's handle and,
+    when the parent traces, its spans are re-parented under this call's
+    ``span``.  :meth:`Sweep.run` and :meth:`repro.suites.SuiteRun.run`
+    both run through here.
     """
-    scenario, use_cache, store = payload[:3]
-    trace_on = bool(payload[3]) if len(payload) > 3 else False
-    common.set_cache_enabled(use_cache)
-    if store != common.store_path():
-        common.configure_store(store)
-    handle = common.active_store()
-    before = handle.counters() if handle is not None else None
-    spans = None
-    if trace_on:
-        with _trace.tracing() as tracer:
-            with tracer.span(
-                "pool_worker",
-                category="service",
-                system=scenario.system_label,
-                operator=scenario.operator,
-            ):
-                records = scenario.records()
-            spans = tracer.to_dicts()
-    else:
-        records = scenario.records()
-    if handle is None:
-        return records, None, spans
-    after = handle.counters()
-    return records, {k: after[k] - before[k] for k in before}, spans
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    with _span(span, category=category, points=len(points), jobs=jobs):
+        if jobs == 1 or len(points) <= 1:
+            records: List[Dict[str, Any]] = []
+            for point in points:
+                records.extend(point.records())
+            return ResultSet(records)
+        tracer = _trace.active_tracer()
+        payloads = [
+            (p, common.cache_enabled(), common.store_path(), tracer is not None)
+            for p in points
+        ]
+        store = common.active_store()
+        records = []
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for chunk, store_delta, spans in pool.map(_pool_worker, payloads):
+                records.extend(chunk)
+                if store is not None and store_delta:
+                    store.merge_stats(store_delta)
+                if tracer is not None and spans:
+                    tracer.adopt(spans, parent_id=tracer.current_span_id())
+        return ResultSet(records)
+
+
+def _pool_worker(payload):
+    """Process-pool entry point: (point, use_cache, store, trace) ->
+    :func:`repro.experiments.common.worker_records`."""
+    point, use_cache, store, trace = payload
+    return common.worker_records(point, use_cache, store, trace, kind=point.kind)

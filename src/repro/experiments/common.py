@@ -20,30 +20,31 @@ keeps per-partition working sets far beyond every cache level, as in the
 paper.  ``run_all --fast`` and the test suite use 500x, which preserves
 all qualitative orderings.
 
-**Shared experiment runtime.**  Workload generation and functional
-operator runs are memoized in module-level, *content-keyed* caches: the
-key spells out everything that determines the result bytes (operator,
-functional tuple count, seed, partition count; plus system preset and
-model scale for results), so fig6/fig7/fig8/fig9/table5 -- which all
-evaluate overlapping (system, operator) pairs -- compute each pair once
-per process instead of once per figure.  ``run_all --no-cache`` (or
-:func:`set_cache_enabled`) restores the recompute-everything behaviour,
-and ``run_all --jobs N`` runs experiment sections in a process pool
-(each worker holds its own cache).
+**Shared experiment runtime.**  Workloads and evaluated points are
+memoized in module-level, *content-keyed* caches: the ``workload`` tier
+keys a relation by operator, functional tuple count, seed and partition
+count; the ``result`` tier keys every evaluated point -- operator,
+canonical query or suite -- by its digest (:class:`Point`), so
+fig6/fig7/fig8/fig9/table5, which all evaluate overlapping (system,
+operator) pairs, compute each pair once per process instead of once per
+figure.  ``run_all --no-cache`` (or :func:`set_cache_enabled`) restores
+the recompute-everything behaviour, and ``run_all --jobs N`` runs
+experiment sections in a process pool (each worker holds its own cache).
 
-The caches are addressed either by preset name *or* by any
+Systems are addressed either by preset name *or* by any
 :class:`~repro.api.spec.SystemSpec`-like object exposing ``cache_key``
 and ``to_config()`` -- which is how the scenario API (:mod:`repro.api`)
 evaluates hardware points the paper never measured through the same
 memoization.
 
-Below the in-memory tiers sits an optional **persistent, content-
-addressed result store** (``REPRO_STORE=dir`` or the CLIs' ``--store``
-flag; :mod:`repro.service.store`): evaluated results are written as
-JSON documents keyed by a digest of the full content key, so fresh
-processes -- repeated CLI invocations, CI runs, the serving daemon's
-clients -- replay warm scenarios with zero simulation executions.
-:func:`cache_stats` reports every tier's hits/misses/evictions.
+Below the memory tiers sits an optional **persistent, content-addressed
+result store** (``REPRO_STORE=dir`` or the CLIs' ``--store`` flag;
+:mod:`repro.service.store`).  :func:`evaluate` is the one path every
+point takes -- memory tier, then store, then execution with write-back
+-- so fresh processes (repeated CLI invocations, CI runs, the serving
+daemon's clients) replay warm points of every kind with zero
+executions.  :func:`cache_stats` reports every tier's
+hits/misses/evictions.
 
 :func:`format_table` forwards to its new home in
 :mod:`repro.api.results`; grids of results are
@@ -52,6 +53,7 @@ clients -- replay warm scenarios with zero simulation executions.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import os
 from typing import Any, Dict, List, Optional, Tuple
@@ -65,6 +67,7 @@ from repro.analytics.workload import (
 from repro.config.system import EVALUATED_PRESETS
 from repro.perf.result import SystemResult
 from repro.systems import build_system
+from repro.telemetry import registry as _registry
 from repro.telemetry import trace as _trace
 
 #: Functional dataset sizes (tuples actually moved in Python).
@@ -146,21 +149,9 @@ _WORKLOADS = CacheTier("workload")
 _RESULTS = CacheTier("result")
 _CACHE_ENABLED = True
 
-#: Tiers registered by higher layers (the suite subsystem's result
-#: memo), so ``clear_caches``/``cache_stats`` stay the one switchboard
-#: without this module importing upward.
-_EXTRA_TIERS: List[CacheTier] = []
-
-
-def register_cache_tier(tier: CacheTier) -> CacheTier:
-    """Enroll a higher layer's tier in clear/stats handling (idempotent)."""
-    if tier not in _EXTRA_TIERS:
-        _EXTRA_TIERS.append(tier)
-    return tier
-
-#: (store root, result key) pairs already confirmed on disk, so the
-#: memory-hit write-through below costs one digest + stat per key per
-#: process instead of per hit.
+#: (store root, point digest) pairs already confirmed on disk, so the
+#: memory-hit write-through in :func:`evaluate` costs one stat per point
+#: per process instead of one per hit.
 _PERSISTED: set = set()
 
 
@@ -193,8 +184,6 @@ def clear_caches() -> None:
 
     _WORKLOADS.clear()
     _RESULTS.clear()
-    for tier in _EXTRA_TIERS:
-        tier.clear()
     _PERSISTED.clear()
     _spec_machine.cache_clear()
     clear_machine_cache()
@@ -229,8 +218,6 @@ def cache_stats() -> Dict[str, Any]:
         _WORKLOADS.name: _WORKLOADS.stats(),
         _RESULTS.name: _RESULTS.stats(),
     }
-    for tier in _EXTRA_TIERS:
-        tiers[tier.name] = tier.stats()
     store = active_store()
     if store is not None:
         tiers["store"] = store.stats()
@@ -340,6 +327,20 @@ def store_stats() -> Optional[Dict[str, int]]:
     return store.stats() if store is not None else None
 
 
+def system_payload(system: Any) -> Dict[str, Any]:
+    """A system's part of a key payload.
+
+    Presets normalize to ``{"preset": name}`` (a no-override spec digests
+    identically to its bare preset name); other specs key by their
+    ``to_dict`` form.
+    """
+    if isinstance(system, str):
+        return {"preset": system}
+    if getattr(system, "is_preset", False):
+        return {"preset": system.base}
+    return {"spec": system.to_dict()}
+
+
 def result_store_payload(
     system: Any,
     operator: str,
@@ -349,23 +350,14 @@ def result_store_payload(
 ) -> Dict[str, Any]:
     """The canonical key payload naming one (system, operator) result.
 
-    This is the persistent twin of :func:`run_cached_result`'s tuple
-    key: systems normalize to ``{"preset": name}`` (a no-override spec
-    digests identically to its bare preset name) or the spec's
-    ``to_dict`` form, and the functional size rides along because the
-    stored numbers describe those exact bytes.  The digest additionally
+    The functional size rides along because the stored numbers describe
+    those exact bytes.  The digest (:attr:`Point.digest`) additionally
     folds in :data:`repro.service.store.CODE_VERSION`.
     """
-    if isinstance(system, str):
-        system_desc: Dict[str, Any] = {"preset": system}
-    elif getattr(system, "is_preset", False):
-        system_desc = {"preset": system.base}
-    else:
-        system_desc = {"spec": system.to_dict()}
     functional_n = FUNCTIONAL_N.get(operator)
     return {
         "kind": "operator-result",
-        "system": system_desc,
+        "system": system_payload(system),
         "operator": operator,
         "functional_n": list(functional_n)
         if isinstance(functional_n, tuple)
@@ -374,22 +366,6 @@ def result_store_payload(
         "seed": int(seed),
         "num_partitions": int(num_partitions),
     }
-
-
-def _store_lookup(store, payload: Dict[str, Any]) -> Tuple[str, Any]:
-    """(digest, restored result or ``_MISS``) for one store probe."""
-    from repro.service.codec import result_from_document
-    from repro.service.store import digest_payload
-
-    digest = digest_payload(payload)
-    document = store.get(digest)
-    if document is None:
-        return digest, _MISS
-    try:
-        return digest, result_from_document(document)
-    except (KeyError, TypeError, ValueError):
-        # Schema drift or a hand-edited entry: treat as a miss.
-        return digest, _MISS
 
 
 def _build_workload(operator: str, seed: int, num_partitions: int):
@@ -448,14 +424,95 @@ def machine_for(system) -> Any:
     return _spec_machine(system)
 
 
-def _system_token(system) -> Any:
-    """The hashable cache-key component naming a system.
+class Point:
+    """A point of any kind on the one evaluation path (:func:`evaluate`).
 
-    Preset strings key exactly as they always have (so scenario-API
-    callers share entries with the figure modules); specs key by their
-    full content.
+    Subclasses are frozen dataclasses (:class:`repro.api.Scenario` for
+    ``operator`` and ``query`` points, :class:`repro.suites.SuitePoint`
+    for ``suite`` points) that give three things: ``kind``,
+    ``key_payload()`` -- everything the evaluated value depends on --
+    and ``execute()``.  The digest is built here once per point object
+    and serves as the memory-tier key, the store address, the fleet's
+    routing key and the worker fleet's task id.
     """
-    return system if isinstance(system, str) else system.cache_key
+
+    kind: str
+
+    def key_payload(self) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    def execute(self) -> Any:
+        raise NotImplementedError
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """SHA-256 of the key payload, salted with ``CODE_VERSION``."""
+        from repro.service.store import digest_payload
+
+        return digest_payload(self.key_payload())
+
+
+def evaluate(point: Point) -> Any:
+    """Evaluate one point: memory tier -> persistent store -> execute.
+
+    An operator point evaluates to a
+    :class:`~repro.perf.result.SystemResult`; query and suite points to a
+    :class:`~repro.pipeline.perf.StagedRun` (stage results without their
+    functional relations, plus the answer digest).  A store miss executes
+    and writes the value back, so a fresh process replays warm points
+    with zero executions; a memory hit writes through to a store
+    configured after the value was computed.  Store-restored values carry
+    ``output=None`` (see :mod:`repro.service.codec`).  Memory hits, store
+    hits and executions are counted per kind in the telemetry registry
+    (``points.<kind>.memory_hits`` / ``store_hits`` / ``executed``).
+    """
+    tracer = _trace.active_tracer()
+    if tracer is None:
+        return _evaluate(point)
+    # The span names the point by its fields (a spec by its label).
+    attrs = {}
+    for f in dataclasses.fields(point):
+        value = getattr(point, f.name)
+        attrs[f.name] = getattr(value, "label", value)
+    with tracer.span("task", category="service", kind=point.kind, **attrs):
+        return _evaluate(point)
+
+
+def _evaluate(point: Point) -> Any:
+    store = active_store()
+    digest = point.digest
+    if _CACHE_ENABLED:
+        value = _RESULTS.get(digest)
+        if value is not _MISS:
+            _registry().counter(f"points.{point.kind}.memory_hits").inc()
+            marker = (str(store.root), digest) if store is not None else None
+            if marker is not None and marker not in _PERSISTED:
+                if not store.contains(digest):
+                    from repro.service.codec import point_to_document
+
+                    store.put(digest, point_to_document(value))
+                _PERSISTED.add(marker)
+            return value
+
+    value, outcome = _MISS, "store_hits"
+    if store is not None:
+        from repro.service.codec import point_from_document, point_to_document
+
+        document = store.get(digest)
+        try:
+            value = _MISS if document is None else point_from_document(document)
+        except (KeyError, TypeError, ValueError):
+            pass  # schema drift or a hand-edited entry: a miss
+    if value is _MISS:
+        value, outcome = point.execute(), "executed"
+        if store is not None:
+            store.put(digest, point_to_document(value))
+    if store is not None:
+        _PERSISTED.add((str(store.root), digest))
+    _registry().counter(f"points.{point.kind}.{outcome}").inc()
+    if _CACHE_ENABLED:
+        _RESULTS.put(digest, value)
+    return value
 
 
 def run_cached_result(
@@ -467,103 +524,55 @@ def run_cached_result(
 ) -> SystemResult:
     """Functionally run + cost one (system, operator) pair, memoized.
 
-    ``system`` is a preset name or a SystemSpec-like object (see
-    :func:`machine_for`).  The content key adds the system token and the
-    model scale to the workload key; results are immutable to their
-    consumers (the figure modules only read them), so sharing one
+    ``system`` is a preset name or a :class:`~repro.api.spec.SystemSpec`;
+    the pair evaluates as an operator :class:`~repro.api.Scenario`
+    through :func:`evaluate`.  Results are immutable to their consumers
+    (the figure modules only read them), so sharing one
     :class:`~repro.perf.result.SystemResult` across figures is safe.
-
-    When a persistent store is active (``REPRO_STORE`` / ``--store``,
-    see :func:`configure_store`), it acts as the second cache tier:
-    memory miss -> store probe -> simulate on a store miss and write the
-    evaluated result back, so a *fresh process* replays warm sweeps with
-    zero simulation executions.  Store-restored results carry
-    ``output=None`` (the functional payload is not persisted; see
-    :mod:`repro.service.codec`).
     """
-    tracer = _trace.active_tracer()
-    if tracer is not None:
-        with tracer.span(
-            "task",
-            category="service",
-            operator=operator,
-            system=_system_token(system),
-            scale=float(scale),
-        ):
-            return _run_cached_result(
-                system, operator, scale, seed, num_partitions
-            )
-    return _run_cached_result(system, operator, scale, seed, num_partitions)
+    # Deferred: repro.api imports this module.
+    from repro.api.scenario import Scenario
+
+    return Scenario(system, operator, scale, seed, num_partitions).result()
 
 
-def _run_cached_result(
-    system: Any,
-    operator: str,
-    scale: float,
-    seed: int,
-    num_partitions: int,
-) -> SystemResult:
-    key = (
-        "result",
-        _system_token(system),
-        operator,
-        FUNCTIONAL_N.get(operator),
-        float(scale),
-        seed,
-        num_partitions,
-    )
+def worker_records(
+    point: Any,
+    use_cache: bool,
+    store: Optional[str],
+    trace: bool = False,
+    span: str = "pool_worker",
+    **attrs: Any,
+) -> Tuple[List[Dict[str, Any]], Optional[Dict[str, int]], Optional[List[Dict[str, Any]]]]:
+    """A worker's evaluation of one point: (records, store delta, spans).
 
-    def build() -> SystemResult:
-        machine = machine_for(system)
-        return machine.run_operator(
-            operator,
-            make_workload(operator, seed, num_partitions),
-            scale_factor=scale,
-        )
-
-    store = active_store()
-
-    if _CACHE_ENABLED:
-        cached = _RESULTS.get(key)
-        if cached is not _MISS:
-            marker = (str(store.root), key) if store is not None else None
-            if marker is not None and marker not in _PERSISTED:
-                # Write-through: a memory-tier hit still lands on disk
-                # (covers results computed before the store was
-                # configured, and heals evicted entries) without
-                # re-simulating anything.  Confirmed keys are memoized
-                # so repeated hits stay free of hashing and stat calls.
-                from repro.service.codec import result_to_document
-                from repro.service.store import digest_payload
-
-                digest = digest_payload(
-                    result_store_payload(
-                        system, operator, scale, seed, num_partitions
-                    )
-                )
-                if not store.contains(digest):
-                    store.put(digest, result_to_document(cached))
-                _PERSISTED.add(marker)
-            return cached
-
-    if store is not None:
-        digest, restored = _store_lookup(
-            store,
-            result_store_payload(system, operator, scale, seed, num_partitions),
-        )
-        if restored is _MISS:
-            from repro.service.codec import result_to_document
-
-            restored = build()
-            store.put(digest, result_to_document(restored))
-        _PERSISTED.add((str(store.root), key))
-        result = restored
+    Installs the caller's cache switch and store selection (an env-var
+    default would survive ``fork``, a ``--store`` flag set only in the
+    parent would not), so store writes land in one shared directory.
+    The store traffic the point caused comes back as a counter delta the
+    parent folds into its own handle.  With ``trace``, the evaluation
+    runs under a worker-local tracer inside a ``span`` root (``attrs``
+    ride on it) and the finished spans come back as plain dicts for
+    ``Tracer.adopt``.  Process-pool fan-out (:func:`repro.api.sweep
+    .run_points`) and the fleet worker subprocess both run through here.
+    """
+    set_cache_enabled(use_cache)
+    if store != store_path():
+        configure_store(store)
+    handle = active_store()
+    before = handle.counters() if handle is not None else None
+    spans = None
+    if trace:
+        with _trace.tracing() as tracer:
+            with tracer.span(span, category="service", **attrs):
+                records = point.records()
+            spans = tracer.to_dicts()
     else:
-        result = build()
-
-    if _CACHE_ENABLED:
-        _RESULTS.put(key, result)
-    return result
+        records = point.records()
+    if handle is None:
+        return records, None, spans
+    after = handle.counters()
+    return records, {k: after[k] - before[k] for k in before}, spans
 
 
 def format_table(headers: List[str], rows: List[List[Any]]) -> str:

@@ -11,12 +11,18 @@ The result is a :class:`PipelinePerf`: per-stage
 :class:`~repro.perf.result.SystemResult` records plus pipeline-level
 totals, stage time/energy fractions and a bottleneck report naming the
 stage and the resource (core, network, destination DRAM) that paces it.
+
+A :class:`StagedRun` is the form a ``PipelinePerf`` is cached in: the
+per-stage results without their functional relations, plus a digest of
+the final answer.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.energy.model import EnergyBreakdown
 from repro.perf.result import SystemResult
@@ -102,6 +108,57 @@ class PipelinePerf:
             "stages": len(self.stages),
             "bottleneck": self.bottleneck().stage,
         }
+
+
+def relation_digest(relation) -> str:
+    """Content digest of a relation's exact tuple bytes."""
+    return hashlib.sha256(relation.data.tobytes()).hexdigest()
+
+
+@dataclass
+class StagedRun:
+    """One evaluated pipeline as the memory tier and the store hold it.
+
+    ``stages`` are ``(stage, operator, output_table, SystemResult)``
+    tuples whose results carry ``output=None``: the functional relations
+    are dropped, and the final one survives as ``output_digest``.  Query
+    and suite points both evaluate to this; ``plan`` names the canonical
+    query or suite that ran, ``family`` a suite's workload family.
+    """
+
+    plan: str
+    system: str
+    stages: List[Tuple[str, str, str, SystemResult]]
+    output_digest: str
+    family: str = ""
+
+    @classmethod
+    def of(cls, perf: "PipelinePerf", family: str = "") -> "StagedRun":
+        """Strip an executed pipeline down to its cached form."""
+        return cls(
+            plan=perf.plan,
+            system=perf.system,
+            stages=[
+                (s.stage, s.operator, s.output_table,
+                 dataclasses.replace(s.result, output=None))
+                for s in perf.stages
+            ],
+            output_digest=relation_digest(perf.stages[-1].result.output),
+            family=family,
+        )
+
+    @property
+    def suite(self) -> str:
+        """The suite a suite run evaluated (its plan is named after it)."""
+        return self.plan
+
+    @property
+    def runtime_s(self) -> float:
+        return sum(result.runtime_s for *_, result in self.stages)
+
+    @property
+    def energy_j(self) -> float:
+        return sum(result.energy.total_j for *_, result in self.stages)
 
 
 def evaluate_pipeline(machine: "Machine", run: PipelineRun) -> PipelinePerf:

@@ -8,10 +8,12 @@ concurrent clients split one simulation bill:
   store**: evaluated results as JSON documents keyed by a digest of
   their full content key (system spec, workload, seed, scale, code
   version), with atomic writes, LRU size-bounding and per-handle stats.
-  Wired under ``repro.experiments.common.run_cached_result`` as the
-  second cache tier (``REPRO_STORE=dir`` / ``--store``).
+  Wired under ``repro.experiments.common.evaluate`` -- the one path
+  every point kind takes -- as the second cache tier
+  (``REPRO_STORE=dir`` / ``--store``).
 - :mod:`repro.service.codec` -- exact JSON round-trip for
-  ``SystemResult`` documents (minus the functional output payload).
+  ``SystemResult`` and ``StagedRun`` documents (minus the functional
+  output payload).
 - :mod:`repro.service.scheduler` -- :class:`BatchScheduler`: batch
   submission with deduplication, store consultation, and the misses
   evaluated in-process or on a supervised worker fleet.

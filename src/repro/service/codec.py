@@ -1,8 +1,10 @@
-"""JSON codec for evaluated results.
+"""JSON codec for evaluated points.
 
-Turns a :class:`~repro.perf.result.SystemResult` into a plain-JSON
+Turns a :class:`~repro.perf.result.SystemResult` (an operator point,
+schema ``system-result/v1``) or a :class:`~repro.pipeline.perf.StagedRun`
+(a query or suite point, schema ``staged-run/v1``) into a plain-JSON
 document and back, so the content-addressed store can persist what the
-in-memory result cache holds.  Everything the performance/energy side
+in-memory result tier holds.  Everything the performance/energy side
 carries is scalar dataclasses (``PhaseCost``, ``CoreEstimate``,
 ``EnergyEvents``, ``EnergyBreakdown``), so the round-trip is exact:
 floats survive byte-for-byte through JSON's shortest-repr encoding,
@@ -27,6 +29,7 @@ from repro.operators.base import PhaseCost
 from repro.cores.base import CoreEstimate
 from repro.perf.model import PhasePerf
 from repro.perf.result import SystemResult
+from repro.pipeline.perf import StagedRun
 
 #: Document schema tag; mismatches are treated as store misses upstream.
 RESULT_SCHEMA = "system-result/v1"
@@ -105,38 +108,28 @@ def result_from_document(document: Mapping[str, Any]) -> SystemResult:
 
 
 # ---------------------------------------------------------------------------
-# Suite runs: one multi-stage pipeline evaluation per document.
+# Staged runs: one multi-stage pipeline evaluation (a query or a suite).
 # ---------------------------------------------------------------------------
 
-#: Document schema tag for persisted suite runs (``repro.suites``).
-SUITE_SCHEMA = "suite-run/v1"
+#: Document schema tag for persisted staged runs (query and suite points).
+STAGED_SCHEMA = "staged-run/v1"
 
 
-def suite_run_to_document(
-    suite: str,
-    family: str,
-    system: str,
-    stages,
-    output_digest: str,
-) -> Dict[str, Any]:
-    """Serialize one evaluated suite run (a list of per-stage results).
+def staged_run_to_document(run: StagedRun) -> Dict[str, Any]:
+    """Serialize one evaluated pipeline (a list of per-stage results).
 
-    ``stages`` is an iterable of ``(stage, operator, output_table,
-    SystemResult)`` tuples -- the shape :mod:`repro.suites.runner`
-    carries.  Each stage's :class:`~repro.perf.result.SystemResult`
-    round-trips through :func:`result_to_document` exactly (floats
-    byte-for-byte); the functional relations are dropped as usual, with
-    the final relation summarized by its ``output_digest`` so golden
-    checks survive a store replay.  These are the suite metadata
-    columns the tidy records carry: suite, family and per-stage names
-    persist alongside the numeric payload.
+    Each stage's :class:`~repro.perf.result.SystemResult` round-trips
+    through :func:`result_to_document` exactly (floats byte-for-byte);
+    the functional relations are already gone, with the final one
+    summarized by ``output_digest`` so golden checks survive a store
+    replay.
     """
     return {
-        "schema": SUITE_SCHEMA,
-        "suite": str(suite),
-        "family": str(family),
-        "system": str(system),
-        "output_digest": str(output_digest),
+        "schema": STAGED_SCHEMA,
+        "plan": str(run.plan),
+        "system": str(run.system),
+        "family": str(run.family),
+        "output_digest": str(run.output_digest),
         "stages": [
             {
                 "stage": str(stage),
@@ -144,30 +137,28 @@ def suite_run_to_document(
                 "output_table": str(output_table),
                 "result": result_to_document(result),
             }
-            for stage, operator, output_table, result in stages
+            for stage, operator, output_table, result in run.stages
         ],
     }
 
 
-def suite_run_from_document(document: Mapping[str, Any]) -> Dict[str, Any]:
-    """Rebuild a suite run's stage results from its stored document.
+def staged_run_from_document(document: Mapping[str, Any]) -> StagedRun:
+    """Rebuild a :class:`~repro.pipeline.perf.StagedRun` from its document.
 
-    Returns ``{"suite", "family", "system", "output_digest", "stages"}``
-    with ``stages`` as ``(stage, operator, output_table, SystemResult)``
-    tuples (results carry the usual ``restored`` marker and
-    ``output=None``).  Raises ``ValueError`` on a schema mismatch so the
-    runner treats drifted documents as store misses.
+    Stage results carry the usual ``restored`` marker and
+    ``output=None``.  Raises ``ValueError`` on a schema mismatch so the
+    evaluation path treats drifted documents as store misses.
     """
-    if document.get("schema") != SUITE_SCHEMA:
+    if document.get("schema") != STAGED_SCHEMA:
         raise ValueError(
-            f"unsupported stored suite-run schema {document.get('schema')!r}"
+            f"unsupported stored staged-run schema {document.get('schema')!r}"
         )
-    return {
-        "suite": document["suite"],
-        "family": document["family"],
-        "system": document["system"],
-        "output_digest": document["output_digest"],
-        "stages": [
+    return StagedRun(
+        plan=document["plan"],
+        system=document["system"],
+        family=document["family"],
+        output_digest=document["output_digest"],
+        stages=[
             (
                 entry["stage"],
                 entry["operator"],
@@ -176,4 +167,18 @@ def suite_run_from_document(document: Mapping[str, Any]) -> Dict[str, Any]:
             )
             for entry in document["stages"]
         ],
-    }
+    )
+
+
+def point_to_document(value: Any) -> Dict[str, Any]:
+    """The store document of any evaluated point: a result or a staged run."""
+    if isinstance(value, StagedRun):
+        return staged_run_to_document(value)
+    return result_to_document(value)
+
+
+def point_from_document(document: Mapping[str, Any]) -> Any:
+    """Inverse of :func:`point_to_document`, dispatching on the schema."""
+    if document.get("schema") == STAGED_SCHEMA:
+        return staged_run_from_document(document)
+    return result_from_document(document)

@@ -234,26 +234,13 @@ class FleetRouter:
     # -- placement -----------------------------------------------------------
 
     def _scenario_digest(self, scenario: Dict[str, Any]) -> Optional[str]:
-        """The scenario's store content address (None for query plans)."""
+        """The point's store content address (None for a malformed one)."""
         from repro.api.scenario import Scenario
-        from repro.experiments import common
-        from repro.service.store import digest_payload
 
         try:
-            point = Scenario.from_dict(scenario)
+            return Scenario.from_dict(scenario).digest
         except (KeyError, TypeError, ValueError):
             return None  # the member daemon will report the real error
-        if point.is_query:
-            return None
-        return digest_payload(
-            common.result_store_payload(
-                point.system,
-                point.operator,
-                point.model_scale,
-                point.seed,
-                point.num_partitions,
-            )
-        )
 
     def _candidates(self, digest: Optional[str]) -> List[Member]:
         """Members in routing preference order for one digest.
@@ -483,10 +470,17 @@ class FleetRouter:
         await asyncio.sleep(self.backoff.delay(member.crashes))
         member.crashes += 1
         loop = asyncio.get_running_loop()
+        spawn = loop.run_in_executor(
+            None, spawn_member, str(self.store.root), member.host
+        )
         try:
-            host, port, proc = await loop.run_in_executor(
-                None, spawn_member, str(self.store.root), member.host
-            )
+            host, port, proc = await asyncio.shield(spawn)
+        except asyncio.CancelledError:
+            # Serving ended mid-spawn: still record the new process, so
+            # stop_members stops it instead of leaving it running.
+            with contextlib.suppress(RuntimeError):
+                member.host, member.port, member.proc = await spawn
+            raise
         except RuntimeError:
             member.breaker.record_failure()
             return

@@ -19,10 +19,11 @@ evaluations through them with production-grade supervision:
   it is the same simulation either way), only the isolation is lost.
 - **Requeue on crash.**  A task in flight on a dying worker is
   requeued (bounded by ``max_task_attempts``, then degraded).  Task ids
-  are the scenario's **content digest**, the same address
-  ``run_cached_result`` consults: if the first attempt died *after*
-  writing the store but before replying, the replay is a store hit,
-  not a recompute -- replays dedup against the store by construction.
+  are the point's **content digest** (operator and query points alike),
+  the same address the evaluation path consults: if the first attempt
+  died *after* writing the store but before replying, the replay is a
+  store hit, not a recompute -- replays dedup against the store by
+  construction.
 
 ``evaluate`` returns records in submission order regardless of which
 worker finished what when, so a fleet-run batch exports byte-identically
@@ -398,9 +399,11 @@ class WorkerFleet:
             "fleet_batch", category="service", tasks=len(scenarios)
         ) as batch_sp:
             for index, scenario in enumerate(scenarios):
+                # Idempotent task id: the point's store address, so a
+                # replay of a crashed-after-put attempt is a store hit.
                 batch_task = _Task(
                     index,
-                    self._task_id(scenario, index),
+                    scenario.digest,
                     scenario.to_dict(),
                     store,
                     cache,
@@ -432,29 +435,6 @@ class WorkerFleet:
             [batch.records[i] for i in range(len(scenarios))],
             delta,
             len(batch.local),
-        )
-
-    @staticmethod
-    def _task_id(scenario, index: int) -> str:
-        """Idempotent request id: the scenario's store content address.
-
-        A replayed task carries the same id and therefore the same
-        digest ``run_cached_result`` probes -- which is what lets a
-        replay of a crashed-after-put attempt dedup against the store.
-        """
-        if getattr(scenario, "is_query", False):
-            return f"query-{index}"
-        from repro.experiments import common
-        from repro.service.store import digest_payload
-
-        return digest_payload(
-            common.result_store_payload(
-                scenario.system,
-                scenario.operator,
-                scenario.model_scale,
-                scenario.seed,
-                scenario.num_partitions,
-            )
         )
 
     # -- introspection / shutdown --------------------------------------------

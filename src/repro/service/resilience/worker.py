@@ -89,28 +89,15 @@ def _evaluate(task: Dict[str, Any]) -> Dict[str, Any]:
     """
     from repro.api.scenario import Scenario
     from repro.experiments import common
-    from repro.telemetry import trace as _trace
 
-    common.set_cache_enabled(bool(task.get("cache", True)))
-    store_dir = task.get("store")
-    if store_dir != common.store_path():
-        common.configure_store(store_dir)
-    handle = common.active_store()
-    before = handle.counters() if handle is not None else None
-    spans = None
-    if task.get("trace"):
-        with _trace.tracing() as tracer:
-            with tracer.span(
-                "fleet_worker", category="service", pid=os.getpid()
-            ):
-                records = Scenario.from_dict(task["scenario"]).records()
-            spans = tracer.to_dicts()
-    else:
-        records = Scenario.from_dict(task["scenario"]).records()
-    delta = None
-    if handle is not None:
-        after = handle.counters()
-        delta = {k: after[k] - before[k] for k in before}
+    records, delta, spans = common.worker_records(
+        Scenario.from_dict(task["scenario"]),
+        bool(task.get("cache", True)),
+        task.get("store"),
+        bool(task.get("trace")),
+        "fleet_worker",
+        pid=os.getpid(),
+    )
     response = {"records": records, "store_delta": delta}
     if spans is not None:
         response["spans"] = spans

@@ -8,10 +8,11 @@ order:
 1. **Deduplicate.**  Identical pending points in one batch collapse to
    one evaluation (scenarios are frozen dataclasses, so identity is
    value equality); every submitted position still gets its records.
-2. **Consult the store.**  Operator scenarios whose digest is already in
-   the persistent store are served in-process -- the store-tier lookup
-   inside ``run_cached_result`` restores the evaluated result with zero
-   simulation executions.
+2. **Consult the store.**  Points -- operator and query alike -- whose
+   digest (:attr:`~repro.experiments.common.Point.digest`) is already in
+   the persistent store are served in-process: the one evaluation path,
+   :func:`repro.experiments.common.evaluate`, answers them from its
+   memory tier or restores them from the store with zero executions.
 3. **Evaluate misses.**  Remaining points run in-process, or -- with
    ``workers=N`` -- through a **supervised worker fleet**
    (:class:`~repro.service.resilience.supervisor.WorkerFleet`):
@@ -123,21 +124,7 @@ class BatchScheduler:
     @staticmethod
     def _in_store(store, scenario: Scenario) -> bool:
         """Non-counting probe: is this point already evaluated on disk?"""
-        if store is None or scenario.is_query:
-            return False
-        from repro.service.store import digest_payload
-
-        return store.contains(
-            digest_payload(
-                common.result_store_payload(
-                    scenario.system,
-                    scenario.operator,
-                    scenario.model_scale,
-                    scenario.seed,
-                    scenario.num_partitions,
-                )
-            )
-        )
+        return store is not None and store.contains(scenario.digest)
 
     def submit(
         self, points: Iterable[Union[Scenario, Mapping[str, Any]]]
@@ -164,9 +151,8 @@ class BatchScheduler:
             batch_sp.set(store_hits=len(hits), executed=len(misses))
 
             records: Dict[Scenario, List[Dict[str, Any]]] = {}
-            # Store hits replay in-process: run_cached_result's store
-            # tier restores the evaluated result with zero simulation
-            # executions.
+            # Store hits replay in-process: the evaluation path answers
+            # them from memory or the store with zero executions.
             for scenario in hits:
                 records[scenario] = scenario.records()
             degraded = 0

@@ -1,76 +1,56 @@
 """The suite driver: every suite x every system preset, cached end-to-end.
 
-:func:`run_suite_point` evaluates one :class:`SuitePoint` (suite x
-system x scale x seed x partitions) through the same three-tier path
-operator scenarios use (:func:`repro.experiments.common
-.run_cached_result`): an in-process memory tier (a
-:class:`~repro.experiments.common.CacheTier` enrolled via
-``register_cache_tier`` so ``clear_caches``/``cache_stats`` cover it), a
-probe of the persistent content-addressed store (``REPRO_STORE`` /
-``--store``; documents use the ``suite-run/v1`` schema of
-:mod:`repro.service.codec`), and only then a real
-:meth:`~repro.systems.machine.Machine.run_pipeline` execution whose
-result is written back.  Fresh processes replay warm suite grids with
-zero pipeline executions, and a memory hit write-throughs to a late-
-configured store exactly like the operator path does.
+A :class:`SuitePoint` (suite x system x scale x seed x partitions) is a
+:class:`~repro.experiments.common.Point` of kind ``suite``: it gives its
+key payload (the suite's full ``cache_params``, so an edited generator
+or plan can never replay a stale run) and its execute function (a real
+:meth:`~repro.systems.machine.Machine.run_pipeline`), and
+:func:`run_suite_point` evaluates it through the one path every point
+kind takes, :func:`repro.experiments.common.evaluate`: the shared
+``result`` memory tier, then the persistent content-addressed store
+(``REPRO_STORE`` / ``--store``; ``staged-run/v1`` documents of
+:mod:`repro.service.codec`), then execution with write-back.  Fresh
+processes replay warm suite grids with zero pipeline executions.
 
-The functional query output is summarized by a SHA-256 digest of the
-final relation's bytes.  The digest is part of the stored document, so
-store replays keep satisfying the functional goldens even though the
-tuples themselves are not persisted -- and because generation is
-deterministic, the digest is identical across presets: every system
-must compute the *same answer*, only the costs differ.
+Both tiers hold a :class:`~repro.pipeline.perf.StagedRun` (exported here
+as :data:`SuiteOutcome`): the per-stage results without their relations,
+plus a SHA-256 digest of the final relation's bytes, so replays keep
+satisfying the functional goldens.  Because generation is deterministic,
+the digest is identical across presets: every system must compute the
+*same answer*, only the costs differ.
 
 :class:`SuiteRun` sweeps a grid of points into one tidy
 :class:`~repro.api.results.ResultSet` (suite-major order), optionally
-across a process pool exactly like :class:`repro.api.Sweep`.
+across a process pool through the same loop :class:`repro.api.Sweep`
+uses.
 """
 
 from __future__ import annotations
 
-import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.api.results import ResultSet
 from repro.api.scenario import records_from_result
+from repro.api.sweep import run_points
 from repro.experiments import common
-from repro.perf.result import SystemResult
-from repro.suites.registry import SUITES, Suite, get_suite
-from repro.telemetry import span as _span
-from repro.telemetry import trace as _trace
+from repro.pipeline.perf import StagedRun, relation_digest
+from repro.suites.registry import SUITES, get_suite
 
 #: Default cost-model scale for suite grids: 5 suites x 6 presets is a
 #: 30-point grid, so suites default lighter than the single-operator
 #: figures' 2000x while staying far beyond every cache level.
 DEFAULT_SCALE = 100.0
 
-
-class _SuiteTier(common.CacheTier):
-    """The suite memory tier + its write-through bookkeeping.
-
-    ``persisted`` mirrors ``common._PERSISTED``: (store root, key) pairs
-    confirmed on disk, so repeated memory hits skip re-hashing.  It must
-    drop with the tier -- ``clear_caches`` calls :meth:`clear` through
-    the registered-tier hook.
-    """
-
-    def __init__(self) -> None:
-        super().__init__("suite-result")
-        self.persisted: set = set()
-
-    def clear(self) -> None:
-        super().clear()
-        self.persisted.clear()
-
-
-_SUITE_RESULTS = common.register_cache_tier(_SuiteTier())
+#: One evaluated suite run (the suite's name is the run's ``plan``).
+SuiteOutcome = StagedRun
 
 
 @dataclass(frozen=True)
-class SuitePoint:
+class SuitePoint(common.Point):
     """One (suite, system, scale, seed, partitions) evaluation point."""
+
+    kind = "suite"
 
     suite: str
     system: str
@@ -114,161 +94,30 @@ class SuitePoint:
     def run(self) -> ResultSet:
         return ResultSet(self.records())
 
+    def key_payload(self) -> Dict[str, Any]:
+        """Everything this run depends on (see :attr:`digest`)."""
+        return {
+            "kind": "suite-result",
+            "suite": get_suite(self.suite).cache_params(),
+            "system": common.system_payload(self.system),
+            "scale": float(self.model_scale),
+            "seed": int(self.seed),
+            "num_partitions": int(self.num_partitions),
+        }
 
-@dataclass
-class SuiteOutcome:
-    """One evaluated suite run: per-stage results + the answer digest."""
-
-    suite: str
-    family: str
-    system: str
-    stages: List[Tuple[str, str, str, SystemResult]]
-    output_digest: str
-
-    @property
-    def runtime_s(self) -> float:
-        return sum(
-            sum(p.time_s for p in result.phase_perfs)
-            for _, _, _, result in self.stages
+    def execute(self) -> SuiteOutcome:
+        """Really run the suite's pipeline (the evaluation path's miss)."""
+        suite = get_suite(self.suite)
+        plan = suite.build_plan(seed=self.seed, num_partitions=self.num_partitions)
+        perf = common.machine_for(self.system).run_pipeline(
+            plan, scale_factor=self.model_scale
         )
-
-    @property
-    def energy_j(self) -> float:
-        return sum(result.energy.total_j for _, _, _, result in self.stages)
-
-
-def relation_digest(relation) -> str:
-    """Content digest of a relation's exact tuple bytes."""
-    return hashlib.sha256(relation.data.tobytes()).hexdigest()
-
-
-def suite_store_payload(point: SuitePoint) -> Dict[str, Any]:
-    """The canonical key payload naming one suite run (store twin of
-    the memory tier's tuple key; the suite's full ``cache_params`` ride
-    along so edited generators or plans can never replay stale runs)."""
-    return {
-        "kind": "suite-result",
-        "suite": get_suite(point.suite).cache_params(),
-        "system": {"preset": point.system},
-        "scale": float(point.model_scale),
-        "seed": int(point.seed),
-        "num_partitions": int(point.num_partitions),
-    }
-
-
-def _execute(point: SuitePoint) -> SuiteOutcome:
-    """Really run the suite's pipeline (the cache-miss path)."""
-    suite = get_suite(point.suite)
-    plan = suite.build_plan(seed=point.seed, num_partitions=point.num_partitions)
-    machine = common.machine_for(point.system)
-    perf = machine.run_pipeline(plan, scale_factor=point.model_scale)
-    stages = [
-        (sp.stage, sp.operator, sp.output_table, sp.result) for sp in perf.stages
-    ]
-    final = stages[-1][3].output
-    return SuiteOutcome(
-        suite=point.suite,
-        family=suite.family_name,
-        system=point.system,
-        stages=stages,
-        output_digest=relation_digest(final),
-    )
-
-
-def _store_roundtrip(store, point: SuitePoint) -> SuiteOutcome:
-    """Probe the persistent tier; execute + write back on a miss."""
-    from repro.service.codec import suite_run_from_document, suite_run_to_document
-    from repro.service.store import digest_payload
-
-    digest = digest_payload(suite_store_payload(point))
-    document = store.get(digest)
-    if document is not None:
-        try:
-            restored = suite_run_from_document(document)
-            return SuiteOutcome(
-                suite=restored["suite"],
-                family=restored["family"],
-                system=restored["system"],
-                stages=restored["stages"],
-                output_digest=restored["output_digest"],
-            )
-        except (KeyError, TypeError, ValueError):
-            pass  # schema drift or hand-edited entry: treat as a miss
-    outcome = _execute(point)
-    store.put(
-        digest,
-        suite_run_to_document(
-            outcome.suite,
-            outcome.family,
-            outcome.system,
-            outcome.stages,
-            outcome.output_digest,
-        ),
-    )
-    return outcome
+        return StagedRun.of(perf, family=suite.family_name)
 
 
 def run_suite_point(point: SuitePoint) -> SuiteOutcome:
     """Evaluate one point through memory tier -> store -> pipeline."""
-    tracer = _trace.active_tracer()
-    if tracer is not None:
-        with tracer.span(
-            "suite_point",
-            category="suites",
-            suite=point.suite,
-            system=point.system,
-            scale=float(point.model_scale),
-        ):
-            return _run_suite_point(point)
-    return _run_suite_point(point)
-
-
-def _run_suite_point(point: SuitePoint) -> SuiteOutcome:
-    key = (
-        "suite-result",
-        point.suite,
-        point.system,
-        float(point.model_scale),
-        int(point.seed),
-        int(point.num_partitions),
-    )
-    store = common.active_store()
-
-    if common.cache_enabled():
-        cached = _SUITE_RESULTS.get(key)
-        if cached is not common._MISS:
-            marker = (str(store.root), key) if store is not None else None
-            if marker is not None and marker not in _SUITE_RESULTS.persisted:
-                # Write-through: persist memory-tier hits computed before
-                # the store was configured (same healing the operator
-                # cache does).
-                from repro.service.codec import suite_run_to_document
-                from repro.service.store import digest_payload
-
-                digest = digest_payload(suite_store_payload(point))
-                if not store.contains(digest):
-                    store.put(
-                        digest,
-                        suite_run_to_document(
-                            cached.suite,
-                            cached.family,
-                            cached.system,
-                            cached.stages,
-                            cached.output_digest,
-                        ),
-                    )
-                _SUITE_RESULTS.persisted.add(marker)
-            return cached
-
-    if store is not None:
-        outcome = _store_roundtrip(store, point)
-        _SUITE_RESULTS.persisted.add((str(store.root), key))
-    else:
-        outcome = _execute(point)
-
-    if common.cache_enabled():
-        _SUITE_RESULTS.put(key, outcome)
-    return outcome
+    return common.evaluate(point)
 
 
 # ---------------------------------------------------------------------------
@@ -325,71 +174,7 @@ class SuiteRun:
 
     def run(self, jobs: int = 1) -> ResultSet:
         """Evaluate the whole grid into one tidy :class:`ResultSet`."""
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        points = self.points()
-        with _span(
-            "suite_run", category="suites", points=len(points), jobs=jobs
-        ):
-            if jobs == 1 or len(points) <= 1:
-                records: List[Dict[str, Any]] = []
-                for point in points:
-                    records.extend(point.records())
-                return ResultSet(records)
-            tracer = _trace.active_tracer()
-            payloads = [
-                (p, common.cache_enabled(), common.store_path(),
-                 tracer is not None)
-                for p in points
-            ]
-            store = common.active_store()
-            records = []
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for chunk, store_delta, spans in pool.map(
-                    _point_worker, payloads
-                ):
-                    records.extend(chunk)
-                    if store is not None and store_delta:
-                        store.merge_stats(store_delta)
-                    if tracer is not None and spans:
-                        tracer.adopt(
-                            spans, parent_id=tracer.current_span_id()
-                        )
-            return ResultSet(records)
-
-
-def _point_worker(
-    payload,
-) -> Tuple[
-    List[Dict[str, Any]], Optional[Dict[str, int]], Optional[List[Dict[str, Any]]]
-]:
-    """Process-pool entry point, mirroring ``api.sweep._sweep_worker``:
-    (point, use_cache, store path[, trace]) -> (records, store-counter
-    delta, worker spans)."""
-    point, use_cache, store = payload[:3]
-    trace_on = bool(payload[3]) if len(payload) > 3 else False
-    common.set_cache_enabled(use_cache)
-    if store != common.store_path():
-        common.configure_store(store)
-    handle = common.active_store()
-    before = handle.counters() if handle is not None else None
-    spans = None
-    if trace_on:
-        with _trace.tracing() as tracer:
-            with tracer.span(
-                "pool_worker",
-                category="suites",
-                suite=point.suite,
-                system=point.system,
-            ):
-                records = point.records()
-            spans = tracer.to_dicts()
-    else:
-        records = point.records()
-    if handle is None:
-        return records, None, spans
-    after = handle.counters()
-    return records, {k: after[k] - before[k] for k in before}, spans
+        return run_points(self.points(), jobs, "suite_run", "suites")
 
 
 def functional_digests(

@@ -9,6 +9,11 @@ the ``python -m repro.service submit`` CLI, and asserts:
 - the second pass is **100% store hits** (zero simulations executed);
 - the daemon survives both submissions and reports coherent stats.
 
+It then submits a small canonical-query grid (``fk-join-aggregate`` on
+cpu and mondrian) twice the same way: query points take the same
+content-keyed path, so the second pass is 100% store hits too, and both
+exports equal the in-process ``Sweep.run().to_json()``.
+
 Run directly: ``PYTHONPATH=src python tests/service_smoke.py``.
 """
 
@@ -25,15 +30,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = ROOT / "tests" / "data" / "sweep_smoke.json"
 GOLDEN = ROOT / "tests" / "data" / "sweep_smoke_golden.json"
+#: The query grid: one canonical query on two machines.
+QUERY_GRID = {
+    "systems": ["cpu", "mondrian"],
+    "workloads": ["fk-join-aggregate"],
+    "scales": [50.0],
+    "num_partitions": [8],
+}
 
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
-def submit(port: int) -> bytes:
+def submit(port: int, spec: Path = SPEC) -> bytes:
     proc = subprocess.run(
         [
             sys.executable, "-m", "repro.service", "submit",
-            "--port", str(port), "--sweep", str(SPEC), "--json", "-",
+            "--port", str(port), "--sweep", str(spec), "--json", "-",
         ],
         env=ENV, cwd=ROOT, capture_output=True, timeout=300,
     )
@@ -83,8 +95,27 @@ def main() -> None:
             )
             assert report["store"]["puts"] == grid_size, report["store"]
 
-            # Ask for a clean shutdown through the wire protocol.
             sys.path.insert(0, str(ROOT / "src"))
+            from repro.api import Sweep
+
+            query_spec = Path(store).with_name(Path(store).name + "-queries.json")
+            query_spec.write_text(json.dumps(QUERY_GRID))
+            try:
+                expected = (Sweep.from_dict(QUERY_GRID).run().to_json() + "\n").encode()
+                queries = len(QUERY_GRID["systems"])
+                for attempt in ("cold", "warm"):
+                    assert submit(port, query_spec) == expected, (
+                        f"{attempt} query submission diverges from Sweep.run()"
+                    )
+            finally:
+                query_spec.unlink()
+            after = stats(port)["scheduler"]
+            assert after["executed"] - scheduler["executed"] == queries, after
+            assert after["store_hits"] - scheduler["store_hits"] == queries, (
+                f"expected the warm query pass to be 100% store hits, got {after}"
+            )
+
+            # Ask for a clean shutdown through the wire protocol.
             from repro.service.client import ServiceClient
 
             with ServiceClient(port=port) as client:
@@ -96,7 +127,7 @@ def main() -> None:
                 daemon.wait()
     print(
         "service-smoke OK: daemon round-trip matches the golden file and "
-        "the second pass was 100% store hits."
+        "the second pass was 100% store hits, queries included."
     )
 
 

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import Scenario
 from repro.service.fleet import (
     AsyncServiceClient,
     FLEET_MANIFEST,
@@ -372,8 +373,10 @@ class TestRouterUnits:
         assert isinstance(digest, str) and len(digest) == 64
         assert router._scenario_digest({"nonsense": True}) is None
 
-    def test_query_scenarios_route_round_robin(self):
+    def test_malformed_scenarios_route_round_robin(self):
         router = self.make_router()
+        # An unknown field makes the point malformed: no digest, so the
+        # request goes round-robin and the member reports the error.
         assert router._scenario_digest({
             "system": "cpu", "operator": "scan", "model_scale": 50.0,
             "seed": 17, "num_partitions": 8, "query": "q1",
@@ -381,6 +384,52 @@ class TestRouterUnits:
         first = router._candidates(None)[0]
         second = router._candidates(None)[0]
         assert first is not second  # the cursor advanced
+
+    def test_query_scenarios_route_to_their_ring_owners(self):
+        router = self.make_router(3)
+        query = Scenario("mondrian", "fk-join-aggregate", model_scale=50.0,
+                         num_partitions=8)
+        digest = router._scenario_digest(query.to_dict())
+        assert digest == query.digest
+        candidates = router._candidates(digest)
+        assert [m.shard for m in candidates[:2]] == router.ring.owners(digest)
+        # Content-addressed, not positional: the same owners every time.
+        assert router._candidates(digest) == candidates
+
+    def test_respawn_cancelled_mid_spawn_records_the_new_member(self, monkeypatch):
+        import types
+
+        from repro.service.fleet import router as router_mod
+        from repro.service.resilience.retry import RetryPolicy
+
+        started, release = threading.Event(), threading.Event()
+        spawned = object()
+
+        def slow_spawn(root, host):
+            started.set()
+            release.wait(10)
+            return host, 4242, spawned
+
+        monkeypatch.setattr(router_mod, "spawn_member", slow_spawn)
+        member = Member(0, "127.0.0.1", 1)
+        router = FleetRouter(
+            [member], store=types.SimpleNamespace(root="unused", replicas=1),
+            hedge_after=None,
+            respawn_backoff=RetryPolicy(base_delay=0.0, max_delay=0.0, jitter=0.0),
+        )
+
+        async def shutdown_mid_spawn():
+            task = asyncio.ensure_future(router._respawn(member))
+            while not started.is_set():
+                await asyncio.sleep(0.001)
+            task.cancel()  # what serving() does to the health loop
+            release.set()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        asyncio.run(shutdown_mid_spawn())
+        # stop_members only stops recorded processes: this one must be.
+        assert member.proc is spawned and member.port == 4242
 
     def test_candidates_lead_with_owners_and_include_everyone(self):
         router = self.make_router(3)

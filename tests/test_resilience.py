@@ -505,6 +505,40 @@ class TestWorkerFleet:
         store = ResultStore(tmp_path)
         assert store.stats()["entries"] == 2
 
+    def test_query_replay_keeps_its_digest_and_dedups(self, tmp_path, monkeypatch):
+        from repro.service.fleet.router import FleetRouter, Member
+        from repro.service.resilience import supervisor
+
+        sent = []
+        request = supervisor._Task.request
+
+        def recording(task):
+            sent.append((task.index, task.id))
+            return request(task)
+
+        monkeypatch.setattr(supervisor._Task, "request", recording)
+        query = Scenario("mondrian", "fk-join-aggregate", **FAST)
+        scenarios = [Scenario("cpu", "scan", **FAST), query]
+        # The worker dies right after storing the query (task 2), before
+        # answering; the replay must carry the same id and hit the store.
+        with WorkerFleet(
+            1, task_timeout=120.0, restart_backoff=NO_BACKOFF,
+            env=chaos_env("kill_after=1,mode=post"),
+        ) as fleet:
+            records, delta, degraded = fleet.evaluate(
+                scenarios, store=str(tmp_path)
+            )
+            stats = fleet.stats()
+        assert degraded == 0
+        assert records == [s.records() for s in scenarios]
+        assert stats["requeues"] >= 1
+        query_ids = [task_id for index, task_id in sent if index == 1]
+        assert len(query_ids) >= 2 and set(query_ids) == {query.digest}
+        router = FleetRouter([Member(0, "127.0.0.1", 1)], hedge_after=None)
+        assert router._scenario_digest(query.to_dict()) == query.digest
+        assert delta["hits"] == 1  # the replay: restored, not re-executed
+        assert ResultStore(tmp_path).stats()["entries"] == 2
+
     def test_attempts_exhausted_degrades_in_process(self, tmp_path):
         scenario = Scenario("cpu", "scan", **FAST)
         with WorkerFleet(

@@ -25,6 +25,7 @@ from repro.service import (
 )
 from repro.service.codec import result_from_document, result_to_document
 from repro.service.store import canonical_json
+from repro.suites import SuitePoint
 
 ROOT = Path(__file__).resolve().parents[1]
 SMOKE_SPEC = ROOT / "tests" / "data" / "sweep_smoke.json"
@@ -313,42 +314,48 @@ class TestCodec:
             _plain(object())
 
 
-class TestSuiteRunCodec:
-    """The multi-stage document behind ``repro.suites``' store tier."""
-
-    def _stages(self):
-        result = common.run_cached_result("cpu", "scan", 50.0, num_partitions=8)
-        return [("scan:probe", "scan", "events", result)]
+class TestStagedRunCodec:
+    """The multi-stage document query and suite points are stored as."""
 
     def test_exact_round_trip(self):
+        from repro.pipeline.perf import StagedRun
         from repro.service.codec import (
-            suite_run_from_document,
-            suite_run_to_document,
+            point_from_document,
+            point_to_document,
         )
 
-        stages = self._stages()
-        document = suite_run_to_document(
-            "windowed-clicks", "windowed", "cpu", stages, "ab" * 32
+        result = common.run_cached_result("cpu", "scan", 50.0, num_partitions=8)
+        run = StagedRun(
+            plan="windowed-clicks",
+            system="cpu",
+            stages=[("scan:probe", "scan", "events", result)],
+            output_digest="ab" * 32,
+            family="windowed",
         )
-        run = suite_run_from_document(json.loads(json.dumps(document)))
-        assert (run["suite"], run["family"], run["system"]) == (
+        document = point_to_document(run)
+        assert document["schema"] == "staged-run/v1"
+        restored_run = point_from_document(json.loads(json.dumps(document)))
+        assert (restored_run.suite, restored_run.family, restored_run.system) == (
             "windowed-clicks", "windowed", "cpu",
         )
-        assert run["output_digest"] == "ab" * 32
-        (name, operator, table, restored), (_, _, _, original) = (
-            run["stages"][0], stages[0],
-        )
+        assert restored_run.output_digest == "ab" * 32
+        (name, operator, table, restored), = restored_run.stages
         assert (name, operator, table) == ("scan:probe", "scan", "events")
-        assert restored.runtime_s == original.runtime_s  # exact, not approx
-        assert restored.energy == original.energy
+        assert restored.runtime_s == result.runtime_s  # exact, not approx
+        assert restored.energy == result.energy
         assert restored.output is None
         assert restored.metadata["restored"] is True
+        assert restored_run.runtime_s == result.runtime_s
 
     def test_schema_mismatch_rejected(self):
-        from repro.service.codec import suite_run_from_document
+        from repro.service.codec import point_from_document, staged_run_from_document
 
-        with pytest.raises(ValueError, match="suite-run schema"):
-            suite_run_from_document({"schema": "suite-run/v0"})
+        with pytest.raises(ValueError, match="staged-run schema"):
+            staged_run_from_document({"schema": "suite-run/v1"})
+        # An unknown schema falls through to the single-result decoder,
+        # which rejects it as well: the evaluation path reads a miss.
+        with pytest.raises(ValueError, match="schema"):
+            point_from_document({"schema": "suite-run/v1"})
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +398,148 @@ class TestStoreTier:
         common.run_cached_result("cpu", "scan", 50.0, num_partitions=8)
         common.run_cached_result("cpu", "scan", 50.0, num_partitions=8)
         stats = common.cache_stats()
-        # Subset, not equality: subsystems may register extra tiers
-        # (e.g. the suite runner's "suite-result" tier on import).
-        assert {"workload", "result", "store"} <= set(stats["tiers"])
+        # Exactly these: every point kind shares the one "result" tier.
+        assert set(stats["tiers"]) == {"workload", "result", "store"}
         assert stats["tiers"]["result"] == {
             "hits": 1, "misses": 1, "evictions": 0, "entries": 1,
         }
         assert stats["tiers"]["store"]["puts"] == 1
         # Legacy aggregate keys survive for old callers.
         assert stats["hits"] == stats["tiers"]["workload"]["hits"] + 1
+
+
+# ---------------------------------------------------------------------------
+# The one evaluation path: every point kind through every tier
+# ---------------------------------------------------------------------------
+
+#: One small point per kind: (class, constructor arguments).
+KIND_POINTS = {
+    "operator": (Scenario, dict(system="cpu", operator="join", **FAST)),
+    "query": (Scenario, dict(system="mondrian", operator="fk-join-aggregate", **FAST)),
+    "suite": (SuitePoint, dict(suite="skew-mild", system="cpu", **FAST)),
+}
+
+#: A fresh interpreter evaluating one point against ``REPRO_STORE``.
+_FRESH_PROBE = r"""
+import json, sys
+from repro.api import Scenario
+from repro.experiments import common
+from repro.suites import SuitePoint
+from repro.telemetry import registry
+
+kind, args = sys.argv[1], json.loads(sys.argv[2])
+point = (SuitePoint if kind == "suite" else Scenario)(**args)
+records = point.records()
+value = common.evaluate(point)
+results = [value] if kind == "operator" else [s[3] for s in value.stages]
+print(json.dumps({
+    "records": records,
+    "counters": registry().snapshot()["counters"],
+    "outputs_dropped": all(r.output is None for r in results),
+}))
+"""
+
+
+def kind_counts(kind: str, counters=None) -> dict:
+    """This process's (or a given snapshot's) per-kind evaluation counts."""
+    from repro.telemetry import registry
+
+    counters = registry().snapshot()["counters"] if counters is None else counters
+    return {
+        tier: counters.get(f"points.{kind}.{tier}", 0)
+        for tier in ("memory_hits", "store_hits", "executed")
+    }
+
+
+def counts_since(kind: str, before: dict) -> dict:
+    now = kind_counts(kind)
+    return {tier: now[tier] - before[tier] for tier in now}
+
+
+class TestEvaluationPath:
+    @pytest.mark.parametrize("tier", ["cold", "memory-hit", "fresh-process-store-hit"])
+    @pytest.mark.parametrize("kind", ["operator", "query", "suite"])
+    def test_kind_by_tier(self, kind, tier, tmp_path):
+        cls, args = KIND_POINTS[kind]
+        common.configure_store(tmp_path)
+        before = kind_counts(kind)
+        cold = json.dumps(cls(**args).records(), sort_keys=True)
+        assert counts_since(kind, before) == {
+            "memory_hits": 0, "store_hits": 0, "executed": 1,
+        }
+        assert common.store_stats()["puts"] == 1
+        if tier == "cold":
+            return
+        if tier == "memory-hit":
+            point = cls(**args)  # an equal point: its own digest, same key
+            before = kind_counts(kind)
+            warm = json.dumps(point.records(), sort_keys=True)
+            assert counts_since(kind, before) == {
+                "memory_hits": 1, "store_hits": 0, "executed": 0,
+            }
+            if kind != "operator":
+                # The memory tier holds what the store holds: no relations.
+                value = common.evaluate(point)
+                assert all(stage[3].output is None for stage in value.stages)
+        else:
+            proc = subprocess.run(
+                [sys.executable, "-c", _FRESH_PROBE, kind, json.dumps(args)],
+                cwd=ROOT, capture_output=True, text=True, timeout=300,
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                         REPRO_STORE=str(tmp_path)),
+            )
+            assert proc.returncode == 0, proc.stderr
+            fresh = json.loads(proc.stdout)
+            assert kind_counts(kind, fresh["counters"]) == {
+                "memory_hits": 1, "store_hits": 1, "executed": 0,
+            }
+            assert fresh["outputs_dropped"]
+            warm = json.dumps(fresh["records"], sort_keys=True)
+        assert warm == cold
+
+    def test_each_kind_has_its_own_digest(self):
+        digests = {
+            kind: cls(**args).digest for kind, (cls, args) in KIND_POINTS.items()
+        }
+        assert len(set(digests.values())) == 3
+        assert all(len(d) == 64 for d in digests.values())
+        # A query's key names its canonical sizes: equal points, equal
+        # digests; any parameter change, a new digest.
+        query = Scenario("mondrian", "fk-join-aggregate", **FAST)
+        assert query.key_payload()["params"] == {"n_r": 4_000, "n_s": 16_000}
+        assert query.digest == Scenario.from_dict(query.to_dict()).digest
+        assert query.digest != Scenario(
+            "mondrian", "fk-join-aggregate", model_scale=50.0, num_partitions=4
+        ).digest
+
+    def test_repeated_query_dispatch_executes_once_then_hits(self, tmp_path):
+        from repro.service import EvaluationDaemon
+
+        daemon = EvaluationDaemon(BatchScheduler(store=tmp_path))
+        request = {
+            "verb": "evaluate",
+            "scenario": Scenario("cpu", "fk-join-aggregate", **FAST).to_dict(),
+        }
+
+        def query_counts():
+            counters = daemon.dispatch({"verb": "stats"})["metrics"]["counters"]
+            return kind_counts("query", counters)
+
+        start = query_counts()
+        first = daemon.dispatch(request)
+        middle = query_counts()
+        second = daemon.dispatch(request)
+        end = query_counts()
+        daemon.scheduler.close()
+        assert first == second
+        assert {t: middle[t] - start[t] for t in start} == {
+            "memory_hits": 0, "store_hits": 0, "executed": 1,
+        }
+        assert {t: end[t] - middle[t] for t in start} == {
+            "memory_hits": 1, "store_hits": 0, "executed": 0,
+        }
+        stats = daemon.scheduler.stats()
+        assert (stats["executed"], stats["store_hits"]) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from repro.suites import (
 )
 from repro.suites import __main__ as suites_cli
 from repro.suites import families as fam
-from repro.suites.runner import _point_worker, relation_digest, suite_store_payload
+from repro.suites.runner import relation_digest
 from repro.suites.scoring import (
     DEFAULT_WEIGHTS,
     render_report,
@@ -282,11 +282,8 @@ class TestRunner:
         assert store.stats()["puts"] == 1
 
     def test_corrupt_store_document_is_a_miss(self, scoped_store):
-        from repro.service.store import digest_payload
-
         point = SuitePoint("skew-mild", "cpu")
-        digest = digest_payload(suite_store_payload(point))
-        scoped_store.put(digest, {"schema": "something-else/v9"})
+        scoped_store.put(point.digest, {"schema": "something-else/v9"})
         outcome = run_suite_point(point)  # recomputes + overwrites
         assert outcome.output_digest
         common.clear_caches()
@@ -327,8 +324,8 @@ class TestRunner:
 
     def test_point_worker_in_process(self, scoped_store):
         point = SuitePoint("windowed-clicks", "cpu")
-        records, delta, spans = _point_worker(
-            (point, common.cache_enabled(), common.store_path())
+        records, delta, spans = common.worker_records(
+            point, common.cache_enabled(), common.store_path()
         )
         assert records == point.records()
         assert delta is not None and delta["puts"] == 1

@@ -16,9 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.service.store import digest_payload
 from repro.suites import FAMILY_TYPES, SUITES, SuitePoint
-from repro.suites.runner import suite_store_payload
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,8 +25,6 @@ ROOT = Path(__file__).resolve().parents[1]
 _PROBE = r"""
 import hashlib, json
 from repro.suites import FAMILY_TYPES, SUITES, SuiteRun, SuitePoint
-from repro.suites.runner import suite_store_payload
-from repro.service.store import digest_payload
 
 relations = {}
 for family_type in FAMILY_TYPES:
@@ -38,7 +34,7 @@ for family_type in FAMILY_TYPES:
         for name, rel in sorted(family.tables(17).items())
     }
 store_keys = {
-    name: digest_payload(suite_store_payload(SuitePoint(name, "cpu")))
+    name: SuitePoint(name, "cpu").digest
     for name in SUITES
 }
 records = SuiteRun(suites=("skew-hotspot",), systems=("cpu",)).run().to_json()
@@ -84,25 +80,16 @@ class TestCrossInterpreterDeterminism:
             }
             assert digests == seen["relations"][family.family]
         for name in SUITES:
-            digest = digest_payload(suite_store_payload(SuitePoint(name, "cpu")))
-            assert digest == seen["store_keys"][name]
+            assert SuitePoint(name, "cpu").digest == seen["store_keys"][name]
 
 
 class TestKeyIdentity:
     def test_store_key_covers_generator_identity(self):
-        base = digest_payload(suite_store_payload(SuitePoint("skew-mild", "cpu")))
-        assert base != digest_payload(
-            suite_store_payload(SuitePoint("skew-mild", "cpu", seed=18))
-        )
-        assert base != digest_payload(
-            suite_store_payload(SuitePoint("skew-mild", "cpu", model_scale=50.0))
-        )
-        assert base != digest_payload(
-            suite_store_payload(SuitePoint("skew-mild", "mondrian"))
-        )
-        assert base != digest_payload(
-            suite_store_payload(SuitePoint("skew-hotspot", "cpu"))
-        )
+        base = SuitePoint("skew-mild", "cpu").digest
+        assert base != SuitePoint("skew-mild", "cpu", seed=18).digest
+        assert base != SuitePoint("skew-mild", "cpu", model_scale=50.0).digest
+        assert base != SuitePoint("skew-mild", "mondrian").digest
+        assert base != SuitePoint("skew-hotspot", "cpu").digest
 
     def test_families_seeded_not_global(self):
         # Generation must not consult numpy's global RNG state.
